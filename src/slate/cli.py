@@ -35,7 +35,6 @@ from .spectral import (
     projection_csv_lines,
     raw_encoding,
     smallest_eigenpairs,
-    smallest_eigenpairs_raw,
 )
 from .supra import SupraConfig, build_block_diagonal, build_supra, count_components
 from .training import TrainConfig, _EncodingCache, evaluate, train
@@ -266,7 +265,7 @@ def cmd_inspect(args) -> int:
     raw_sg = build_block_diagonal(snapshots, window)
     raw_lap = normalized_laplacian(raw_sg, allow_isolated=True)
     k_raw = min(cfg["k"], raw_sg.size)
-    raw_basis = smallest_eigenpairs_raw(raw_lap, k_raw)
+    raw_basis = smallest_eigenpairs(raw_lap, k_raw, discard_trivial=False)
     raw_table = raw_encoding(raw_basis, raw_sg, g.num_nodes)
     _dump_variant(out, "untransformed", raw_sg, raw_basis, raw_table, window.members)
     summary["untransformed"] = {

@@ -25,7 +25,7 @@ from .spectral import (
     normalized_laplacian,
     raw_encoding,
     smallest_eigenpairs,
-    smallest_eigenpairs_raw,
+    smallest_eigenpairs_raw,  # noqa: F401  (bench/spans.py traces it under this name)
 )
 from .supra import SupraConfig, build_block_diagonal, build_supra
 
@@ -280,7 +280,8 @@ def compute_window_encoding(
     if kind == EncodingKind.SLATE_NO_TRANSFORM:
         sg = build_block_diagonal(snapshots, window)
         lap = normalized_laplacian(sg, allow_isolated=True)
-        basis = smallest_eigenpairs_raw(lap, k, method=eig_method, tol=eig_tol, seed=eig_seed)
+        basis = smallest_eigenpairs(lap, k, method=eig_method, tol=eig_tol, seed=eig_seed,
+                                    discard_trivial=False)
         return raw_encoding(basis, sg, g.num_nodes)
     if kind == EncodingKind.LAPPE_TIME:
         return lap_pe_time_encoding(snapshots, k, d_time, window.members)

@@ -600,18 +600,24 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
+        def read(size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ConfigError(f"{path}: truncated checkpoint")
+            return data
+
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8))
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
+            (name_len,) = struct.unpack("<I", read(4))
+            name = read(name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank)) if rank else ()
             n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_items), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * n_items), dtype="<f8").reshape(shape)
             out[name] = data.astype(np.float64)
     return out

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, ConvergenceError, SlateError
 from .supra import SupraGraph
@@ -92,84 +93,52 @@ def _dense_eigenpairs(lap: NormalizedSupraLaplacian, count: int) -> tuple[np.nda
     return vals[:count], vecs[:, :count]
 
 
-def _lanczos_eigenpairs(
-    lap: NormalizedSupraLaplacian,
-    count: int,
-    tol: float,
-    seed: int,
-    max_iter: int,
+def _arpack_eigenpairs(
+    lap: NormalizedSupraLaplacian, count: int, tol: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lanczos with full reorthogonalization and a seeded start vector.
-
-    Keeps the whole Krylov basis (memory O(m*size)), reorthogonalizing each new
-    vector twice against it; on breakdown (invariant subspace found) a fresh
-    random direction is injected. Convergence is monitored through the
-    classical |beta_m * s_{m,i}| residual bound on the lowest Ritz pairs and
-    confirmed on the final explicit Ritz vectors.
-    """
-    A = lap.matrix
+    """Null space from the components, the rest from scipy eigsh; see
+    smallest_eigenpairs for the rules."""
     n = lap.size
-    m_max = min(max_iter, n)
-    rng = np.random.default_rng(seed)
+    # One zero eigenvalue per component, with eigenvector D^{1/2} 1 on it (e_i
+    # on an isolated row). A Krylov method finds only one copy of a repeated
+    # eigenvalue reliably, so the null space is written down instead of solved.
+    num_comp, labels = connected_components(lap.matrix, directed=False)
+    z = np.where(lap.degree > 0, np.sqrt(lap.degree), 1.0)
+    z /= np.sqrt(np.bincount(labels, weights=z * z))[labels]
+    zeros = min(num_comp, count)
+    null_vecs = np.zeros((n, zeros))
+    rows = np.flatnonzero(labels < zeros)
+    null_vecs[rows, labels[rows]] = z[rows]
+    if zeros == count:
+        return np.zeros(count), null_vecs
 
-    Q = np.zeros((m_max, n))
-    alphas = np.zeros(m_max)
-    betas = np.zeros(m_max)  # betas[j] couples q_j and q_{j+1}
+    def shifted(v):  # L + 3 Z Z^T: the null space moves above the spectrum [0, 2]
+        v = v.ravel()
+        return lap.matrix @ v + 3.0 * z * np.bincount(labels, weights=z * v, minlength=num_comp)[labels]
 
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q[0] = q
-
-    def ritz(m):
-        T = np.diag(alphas[:m]) + np.diag(betas[: m - 1], 1) + np.diag(betas[: m - 1], -1)
-        return np.linalg.eigh(T)
-
-    m = m_max
-    for j in range(m_max):
-        w = A @ Q[j]
-        alphas[j] = Q[j] @ w
-        w -= alphas[j] * Q[j]
-        if j > 0:
-            w -= betas[j - 1] * Q[j - 1]
-        for _ in range(2):  # full reorthogonalization, repeated for stability
-            w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
-        b = np.linalg.norm(w)
-        done = j + 1  # Krylov dimension with a complete tridiagonal
-        if done >= count and b >= 1e-12 and (done % 10 == 0 or done == m_max):
-            # classical bound: residual of Ritz pair i is beta * |last entry|
-            _, S = ritz(done)
-            if np.all(b * np.abs(S[done - 1, :count]) < 0.1 * tol):
-                m = done
-                break
-        if done == m_max:
-            break
-        if b < 1e-12:  # invariant subspace found: continue in a fresh direction
-            betas[j] = 0.0
-            w = rng.standard_normal(n)
-            w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
-            nrm = np.linalg.norm(w)
-            if nrm < 1e-12:
-                m = done
-                break
-            Q[j + 1] = w / nrm
-        else:
-            betas[j] = b
-            Q[j + 1] = w / b
-    if m < count:
-        raise ConfigError(f"Krylov space ({m}) smaller than requested pair count ({count})")
-    vals, S = ritz(m)
-    order = np.argsort(vals)[:count]
-    theta = vals[order]
-    V = Q[:m].T @ S[:, order]
-    V /= np.linalg.norm(V, axis=0, keepdims=True)
-    residuals = np.linalg.norm(A @ V - V * theta, axis=0)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=shifted, dtype=np.float64),
+                           k=count - zeros, which="SA", v0=v0, tol=0)
+    except ArpackNoConvergence as exc:
+        residuals = _residuals(lap, exc.eigenvalues, exc.eigenvectors)
+        raise ConvergenceError(f"ARPACK did not converge: {exc}", residuals=residuals) from exc
+    except ArpackError as exc:
+        raise ConvergenceError(f"ARPACK failed: {exc}") from exc
+    order = np.argsort(vals)
+    vals = np.concatenate([np.zeros(zeros), vals[order]])
+    vecs = np.hstack([null_vecs, vecs[:, order]])
+    residuals = _residuals(lap, vals, vecs)
     if np.any(residuals > max(tol, 1e-8 * n)):
         raise ConvergenceError(
-            f"Lanczos did not converge within {m} iterations "
-            f"(max residual {residuals.max():.3e}, tol {tol:.1e})",
+            f"ARPACK eigenpairs above tolerance (max residual {residuals.max():.3e}, tol {tol:.1e})",
             residuals=residuals,
         )
-    return theta, V
+    return vals, vecs
+
+
+def _residuals(lap: NormalizedSupraLaplacian, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(lap.matrix @ vecs - vecs * vals, axis=0)
 
 
 def smallest_eigenpairs(
@@ -178,27 +147,45 @@ def smallest_eigenpairs(
     method: str = "auto",
     tol: float = 1e-8,
     seed: int = 0,
+    discard_trivial: bool = True,
 ) -> SpectralBasis:
     """k smallest non-trivial eigenpairs: computes k+1, discards the trivial one.
 
-    method "dense" is the exact reference path, "lanczos" the iterative one
-    (iteration cap 10*k + 50), "auto" picks dense up to DENSE_CUTOFF rows.
+    method "dense" is the exact reference path (LAPACK on the dense matrix).
+    "lanczos" writes the null space down, one vector D^{1/2} 1 per connected
+    component in order of its lowest row, and gets the remaining pairs from
+    ARPACK's implicitly restarted Lanczos (scipy eigsh, smallest algebraic) on
+    L with that null space shifted above the spectrum, from a start vector
+    drawn from seed and converged to machine precision. Its pairs are accepted
+    only if every residual ||L v - lambda v|| is at most max(tol, 1e-8 * size);
+    otherwise, or when ARPACK fails, it raises ConvergenceError. Like any
+    single-vector Krylov method it may miss a copy of a repeated non-zero
+    eigenvalue. "auto" picks dense up to DENSE_CUTOFF rows, lanczos above.
+
+    With discard_trivial=False the k smallest are returned as they are and
+    lambda0 is None. The raw disconnected stacking has one zero eigenvalue per
+    component, often far more than k; any orthonormal basis of that null space
+    is then a valid answer, the dense path returns an arbitrary one, and sign
+    canonicalization cannot undo a rotation inside it.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if k + 1 > lap.size:
-        raise ConfigError(f"k+1 = {k + 1} exceeds matrix size {lap.size}")
+    count = k + 1 if discard_trivial else k
+    if count > lap.size:
+        raise ConfigError(f"k = {k} needs {count} eigenpairs, matrix size is {lap.size}")
     if tol <= 0:
         raise ConfigError("tol must be positive")
     if method == "auto":
         method = "dense" if lap.size <= DENSE_CUTOFF else "lanczos"
     if method == "dense":
-        vals, vecs = _dense_eigenpairs(lap, k + 1)
+        vals, vecs = _dense_eigenpairs(lap, count)
     elif method == "lanczos":
-        vals, vecs = _lanczos_eigenpairs(lap, k + 1, tol, seed, max_iter=10 * k + 50)
+        vals, vecs = _arpack_eigenpairs(lap, count, tol, seed)
     else:
         raise ConfigError(f"unknown eigensolver method {method!r}")
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    if not discard_trivial:
+        return SpectralBasis(eigenvalues=vals.copy(), eigenvectors=canonicalize_signs(vecs), lambda0=None)
     return SpectralBasis(
         eigenvalues=vals[1:].copy(),
         eigenvectors=canonicalize_signs(vecs[:, 1:]),
@@ -207,29 +194,11 @@ def smallest_eigenpairs(
 
 
 def smallest_eigenpairs_raw(
-    lap: NormalizedSupraLaplacian,
-    k: int,
-    method: str = "auto",
-    tol: float = 1e-8,
-    seed: int = 0,
+    lap: NormalizedSupraLaplacian, k: int, method: str = "auto", tol: float = 1e-8, seed: int = 0
 ) -> SpectralBasis:
-    """k smallest eigenpairs with no trivial-eigenvalue discard.
-
-    For the raw disconnected stacking the zero eigenvalue has one copy per
-    connected component, so the k smallest are taken as-is.
-    """
-    if k < 1 or k > lap.size:
-        raise ConfigError(f"need 1 <= k <= {lap.size}")
-    if method == "auto":
-        method = "dense" if lap.size <= DENSE_CUTOFF else "lanczos"
-    if method == "dense":
-        vals, vecs = _dense_eigenpairs(lap, k)
-    elif method == "lanczos":
-        vals, vecs = _lanczos_eigenpairs(lap, k, tol, seed, max_iter=10 * k + 50)
-    else:
-        raise ConfigError(f"unknown eigensolver method {method!r}")
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    return SpectralBasis(eigenvalues=vals.copy(), eigenvectors=canonicalize_signs(vecs), lambda0=None)
+    """smallest_eigenpairs(..., discard_trivial=False) under its former name,
+    which bench/spans.py still looks up in slate.model to trace it."""
+    return smallest_eigenpairs(lap, k, method, tol, seed, discard_trivial=False)
 
 
 @dataclass(frozen=True)

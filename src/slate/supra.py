@@ -9,11 +9,11 @@ consecutive layer pair shares at least one mutually non-isolated node.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .dtdg import Snapshot, Window
 from .errors import ConnectivityError, DegenerateWindowError
@@ -172,26 +172,10 @@ def build_block_diagonal(snapshots: list[Snapshot], window: Window | None = None
 
 
 def verify_connected(sg: SupraGraph) -> bool:
-    """True iff a BFS from row 0 reaches every row."""
+    """True iff the multi-layer graph has exactly one connected component."""
     return count_components(sg.adjacency) == 1
 
 
 def count_components(adjacency: sp.csr_array) -> int:
-    """Connected components by repeated BFS over the sparse adjacency."""
-    n = adjacency.shape[0]
-    indptr, indices = adjacency.indptr, adjacency.indices
-    seen = np.zeros(n, dtype=bool)
-    components = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        components += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
-    return components
+    """Connected components of the undirected sparse adjacency."""
+    return int(connected_components(adjacency, directed=False)[0])

@@ -334,6 +334,19 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             nn.load_checkpoint(path)
 
+    def test_truncated_file_rejected(self, tmp_path):
+        store = ParameterStore(3)
+        store.weight("layer.w", 4, 6)
+        store.zeros("layer.b", 6)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(store, path)
+        blob = path.read_bytes()
+        # every cut: inside the header, a name, a shape and a payload
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigError):
+                nn.load_checkpoint(path)
+
     def test_duplicate_name_rejected(self):
         store = ParameterStore(0)
         store.zeros("p", 1)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from slate.dtdg import generate_erdos_renyi, window_of
-from slate.errors import ConfigError
+from slate import spectral
+from slate.dtdg import generate_erdos_renyi, generate_sbm_churn, window_of
+from slate.errors import ConfigError, ConvergenceError
+from slate.model import EncodingKind, compute_window_encoding
 from slate.spectral import (
+    DENSE_CUTOFF,
     canonicalize_signs,
     normalized_laplacian,
     raw_encoding,
     smallest_eigenpairs,
-    smallest_eigenpairs_raw,
 )
 from slate.supra import build_block_diagonal, build_supra
 
@@ -151,6 +154,26 @@ class TestEigensolvers:
         with pytest.raises(ConfigError):
             smallest_eigenpairs(normalized_laplacian(sg), 2)
 
+    @pytest.mark.parametrize("failure", ["no-convergence", "arpack-error"])
+    def test_arpack_errors_become_convergence_errors(self, monkeypatch, failure):
+        sg, _ = random_supra(3)
+        lap = normalized_laplacian(sg)
+        partial = np.full((lap.size, 1), 1.0 / np.sqrt(lap.size))
+        error = (ArpackNoConvergence("no convergence", np.array([0.5]), partial)
+                 if failure == "no-convergence" else ArpackError(-9999))
+
+        def eigsh(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh)
+        with pytest.raises(ConvergenceError) as info:
+            smallest_eigenpairs(lap, 2, method="lanczos")
+        if failure == "no-convergence":
+            expected = np.linalg.norm(lap.matrix @ partial - 0.5 * partial, axis=0)
+            assert np.allclose(info.value.residuals, expected)
+        else:
+            assert info.value.residuals is None
+
 
 class TestRawEncoding:
     def test_isolated_rows_are_zero_projection(self):
@@ -239,17 +262,63 @@ class TestRawVariant:
         lap = normalized_laplacian(sg, allow_isolated=True)
         vals = np.linalg.eigvalsh(lap.matrix.toarray())
         assert (np.abs(vals) < 1e-10).sum() == 8  # one zero per component
-        basis = smallest_eigenpairs_raw(lap, 4)
+        basis = smallest_eigenpairs(lap, 4, discard_trivial=False)
         assert basis.lambda0 is None
         assert np.all(np.abs(basis.eigenvalues) < 1e-10)
 
     def test_every_slot_has_a_row(self):
         snaps = toy_t3()
         sg = build_block_diagonal(snaps)
-        basis = smallest_eigenpairs_raw(normalized_laplacian(sg, allow_isolated=True), 3)
+        basis = smallest_eigenpairs(normalized_laplacian(sg, allow_isolated=True), 3,
+                                    discard_trivial=False)
         table = raw_encoding(basis, sg, 5)
         for (u, tau), row in sg.index_map.items():
             assert np.array_equal(table.vector(u, tau)[:3], basis.eigenvectors[row])
+
+
+class TestAboveDenseCutoff:
+    """Windows over DENSE_CUTOFF rows go to ARPACK under method="auto"."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_sbm_churn(600, 4, 0.024, 0.0035, 3, seed=0)
+
+    @staticmethod
+    def check(lap, vals, vecs, dense_vals):
+        assert lap.size > DENSE_CUTOFF
+        assert np.abs(vals - dense_vals).max() < 1e-10
+        res = np.linalg.norm(lap.matrix @ vecs - vecs * vals, axis=0)
+        assert res.max() <= max(1e-8, 1e-8 * lap.size)
+
+    def test_transformed_window(self, graph):
+        snaps = [graph.snapshots[t] for t in window_of(graph, 2, 3).members]
+        lap = normalized_laplacian(build(snaps))
+        auto = smallest_eigenpairs(lap, 8, method="auto")
+        dense = smallest_eigenpairs(lap, 8, method="dense")
+        self.check(lap, auto.eigenvalues, auto.eigenvectors, dense.eigenvalues)
+        assert abs(auto.lambda0) < 1e-12
+        assert np.abs(auto.eigenvectors.T @ auto.eigenvectors - np.eye(8)).max() < 1e-10
+
+    @pytest.mark.parametrize("n, p", [(600, None), (300, 0.05)])
+    def test_untransformed_window(self, graph, n, p):
+        # The churn window has one zero eigenvalue per component, far more
+        # than k, and an arbitrary basis for them: only eigenvalues and
+        # residuals are compared. The dense ER window has fewer than k.
+        g = graph if p is None else generate_erdos_renyi(n, p, 2, seed=4)
+        window = window_of(g, 2 if p is None else 1, 2)
+        lap = normalized_laplacian(
+            build_block_diagonal([g.snapshots[t] for t in window.members]), allow_isolated=True
+        )
+        assert lap.size == n * 2
+        k = 8
+        auto = compute_window_encoding(g, window, EncodingKind.SLATE_NO_TRANSFORM, k).flat()
+        dense = compute_window_encoding(g, window, EncodingKind.SLATE_NO_TRANSFORM, k,
+                                        eig_method="dense").flat()
+        # the untransformed table has one row per supra row, in row order
+        self.check(lap, auto[0, k:], auto[:, :k], dense[0, k:])
+        assert np.abs(auto.T[:k] @ auto[:, :k] - np.eye(k)).max() < 1e-10
+        zeros = int((np.abs(dense[0, k:]) < 1e-10).sum())
+        assert (zeros == k) if p is None else (1 < zeros < k)
 
 
 class TestMethodSelection:
