@@ -6,6 +6,7 @@ resolved configuration and echoes that configuration into its output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ from .spectral import (
     smallest_eigenpairs,
 )
 from .supra import SupraConfig, build_block_diagonal, build_supra, count_components
-from .training import TrainConfig, _EncodingCache, evaluate, train
+from .training import TrainConfig, evaluate, train
 
 # ---------------------------------------------------------------------------
 # Schemas
@@ -60,27 +61,26 @@ _GENERATE = Schema({
     "edge_persist": (float, 0.0),
 })
 
+
+def _run_config_fields() -> dict:
+    """One schema entry per TrainConfig field, defaults taken from TrainConfig()."""
+    defaults = TrainConfig()
+    fields = {}
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(defaults, f.name)
+        if isinstance(value, PoolingSpec):
+            fields |= {"pooling": (str, value.kind), "pool_last_k": (int, value.last_k)}
+        elif isinstance(value, EncodingKind):
+            fields[f.name] = (str, value.value)
+        else:
+            fields[f.name] = (parse_bool if isinstance(value, bool) else type(value), value)
+    return fields
+
+
 _TRAIN_FIELDS = {
     "out": (str, None),
     "data": (str, None),
-    "lr": (float, 0.01),
-    "weight_decay": (float, 0.0),
-    "epochs": (int, 200),
-    "patience": (int, 20),
-    "w": (int, 3),
-    "k": (int, 8),
-    "d": (int, 128),
-    "heads": (int, 2),
-    "nhead_xa": (int, 2),
-    "ffn_dim": (int, 128),
-    "norm_first": (parse_bool, True),
-    "pooling": (str, "mean"),
-    "pool_last_k": (int, 3),
-    "encoding": (str, "slate"),
-    "d_time": (int, 8),
-    "use_edge_module": (parse_bool, True),
-    "vn_fallback_link": (parse_bool, False),
-    "seed": (int, 0),
+    **_run_config_fields(),
     "split": (str, "ratio"),
     "train_frac": (float, 0.7),
     "val_frac": (float, 0.15),
@@ -162,17 +162,12 @@ def _split_ranges(cfg: dict, g: DynamicGraph):
     return split_chronological(g, spec)
 
 
-def _train_config(cfg: dict, w: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["lr"], weight_decay=cfg["weight_decay"], epochs=cfg["epochs"],
-        patience=cfg["patience"], w=cfg["w"] if w is None else w, k=cfg["k"], d=cfg["d"],
-        heads=cfg["heads"], nhead_xa=cfg["nhead_xa"], ffn_dim=cfg["ffn_dim"],
-        norm_first=cfg["norm_first"],
-        pooling=PoolingSpec(cfg["pooling"], cfg["pool_last_k"]),
-        encoding=EncodingKind(cfg["encoding"]), d_time=cfg["d_time"],
-        use_edge_module=cfg["use_edge_module"], vn_fallback_link=cfg["vn_fallback_link"],
-        seed=cfg["seed"],
-    )
+def _train_config(cfg: dict) -> TrainConfig:
+    """The run's resolved values as a TrainConfig; the one place one is built."""
+    plain = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)
+             if f.name not in ("pooling", "encoding")}
+    return TrainConfig(**plain, pooling=PoolingSpec(cfg["pooling"], cfg["pool_last_k"]),
+                       encoding=EncodingKind(cfg["encoding"]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +313,10 @@ def cmd_eval(args) -> int:
     data = cfg["data"] or train_cfg["data"]
     g = load_dataset(data)
     train_range, _, test_range = _split_ranges(train_cfg, g)
-    tc = _train_config(train_cfg)
-    model = tc.build_model(g.num_nodes)
+    model = _train_config(train_cfg).build_model(g.num_nodes)
     model.store.load_state(load_checkpoint(run_dir / "model.ckpt"))
     report = evaluate(model, g, test_range, strategy=cfg["strategy"],
-                      train_range=train_range, seed=cfg["seed"],
-                      cache=_EncodingCache(g, tc))
+                      train_range=train_range, seed=cfg["seed"])
     report.config = {k: format_value(v) for k, v in sorted(train_cfg.items())} | {
         "eval_strategy": cfg["strategy"], "eval_seed": str(cfg["seed"]),
     }
@@ -348,6 +341,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     g = load_dataset(cfg["data"])
     train_range, val_range, test_range = _split_ranges(cfg, g)
+    base = _train_config(cfg)
     encodings = [EncodingKind(e.strip()) for e in cfg["encodings"].split(",")]
     edge_flags = [e.strip() == "on" for e in cfg["edge_modules"].split(",")]
     poolings = [p.strip() for p in cfg["poolings"].split(",")]
@@ -367,17 +361,10 @@ def cmd_ablate(args) -> int:
                         cell = (f"encoding={enc.value} edge={'on' if edge_on else 'off'} "
                                 f"pooling={pool_kind} w={w_label} seed={cfg['seed'] + s}")
                         try:
-                            tc = TrainConfig(
-                                lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-                                epochs=cfg["epochs"], patience=cfg["patience"],
-                                w=w_eff, k=cfg["k"], d=cfg["d"], heads=cfg["heads"],
-                                nhead_xa=cfg["nhead_xa"], ffn_dim=cfg["ffn_dim"],
-                                norm_first=cfg["norm_first"],
-                                pooling=PoolingSpec(pool_kind, cfg["pool_last_k"]),
-                                encoding=enc, d_time=cfg["d_time"],
-                                use_edge_module=edge_on,
-                                vn_fallback_link=cfg["vn_fallback_link"],
-                                seed=cfg["seed"] + s,
+                            tc = dataclasses.replace(
+                                base, w=w_eff, encoding=enc, use_edge_module=edge_on,
+                                pooling=PoolingSpec(pool_kind, base.pooling.last_k),
+                                seed=base.seed + s,
                             )
                             model = tc.build_model(g.num_nodes)
                             train(model, g, tc, train_range, val_range)

@@ -65,7 +65,8 @@ class SlateModel:
     """Parameter bundle and forward passes for dynamic link prediction.
 
     Token dimension d splits exactly into (d - k) embedding dims and k encoding
-    dims. All parameters live in one seed-deterministic store.
+    dims. All parameters live in one seed-deterministic store. w, encoding, k,
+    d_time and vn_fallback_link also fix how every window is encoded.
     """
 
     def __init__(
@@ -83,6 +84,7 @@ class SlateModel:
         d_time: int = 8,
         use_edge_module: bool = True,
         symmetrize: bool = False,
+        vn_fallback_link: bool = False,
         seed: int = 0,
     ):
         if k >= d:
@@ -99,6 +101,7 @@ class SlateModel:
         self.d_time = d_time
         self.use_edge_module = use_edge_module
         self.symmetrize = symmetrize
+        self.vn_fallback_link = vn_fallback_link
 
         feat = d - k
         st_in = k + d_time if self.encoding == EncodingKind.LAPPE_TIME else 2 * k

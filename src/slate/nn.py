@@ -3,12 +3,13 @@
 Just enough machinery for one encoder layer, a cross-attention block, and a
 logit-space binary cross-entropy: float64 row-major tensors, a tape recording
 backward closures in execution order, and SGD. A forward/backward pass with its
-tape belongs to one thread; no-grad forwards (no active tape) over frozen
-parameters are safe to run concurrently.
+tape belongs to one thread: the active tape is per thread, so no-grad forwards
+over frozen parameters are safe to run concurrently with training.
 """
 
 from __future__ import annotations
 
+import contextvars
 import struct
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-_ACTIVE_TAPE: "Tape | None" = None
+_ACTIVE_TAPE: contextvars.ContextVar[Tape | None] = contextvars.ContextVar("tape", default=None)
 
 
 class Tape:
@@ -60,17 +61,13 @@ class Tape:
 
     def __init__(self):
         self._records: list = []
-        self._outer: Tape | None = None
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        self._outer = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._outer
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def record(self, fn) -> None:
@@ -85,9 +82,10 @@ class Tape:
 
 
 def _track(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _ACTIVE_TAPE is not None and any(x.requires_grad for x in inputs):
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None and any(x.requires_grad for x in inputs):
         out.requires_grad = True
-        _ACTIVE_TAPE.record(backward_fn)
+        tape.record(backward_fn)
     return out
 
 
@@ -614,7 +612,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read(4))
-            name = read(name_len).decode("utf-8")
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: parameter name is not UTF-8") from exc
             (rank,) = struct.unpack("<I", read(4))
             shape = struct.unpack(f"<{rank}Q", read(8 * rank)) if rank else ()
             n_items = int(np.prod(shape)) if shape else 1

@@ -12,21 +12,29 @@ choices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import nn
 from .dtdg import DynamicGraph, SplitSpec, split_chronological, window_of
-from .errors import ConfigError, SlateError
+from .errors import ConfigError, SlateError, TrainingError
 from .metrics import auc, average_precision
 from .model import EncodingKind, PoolingSpec, SlateModel, compute_window_encoding
 from .sampling import NegativeSampler, sample_pairs
 from .supra import SupraConfig
 
 
+_OPTIMIZER_FIELDS = ("lr", "weight_decay", "epochs", "patience")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings. lr, weight_decay, epochs and patience drive the
+    optimizer, and seed its negative draws; every other field, seed included,
+    is a SlateModel argument, so the model built from them owns how windows
+    are encoded."""
+
     lr: float = 0.01
     weight_decay: float = 0.0
     epochs: int = 200
@@ -46,12 +54,9 @@ class TrainConfig:
     seed: int = 0
 
     def build_model(self, num_nodes: int) -> SlateModel:
-        return SlateModel(
-            num_nodes=num_nodes, d=self.d, k=self.k, w=self.w, heads=self.heads,
-            nhead_xa=self.nhead_xa, ffn_dim=self.ffn_dim, norm_first=self.norm_first,
-            pooling=self.pooling, encoding=self.encoding, d_time=self.d_time,
-            use_edge_module=self.use_edge_module, seed=self.seed,
-        )
+        model_args = {f.name: getattr(self, f.name) for f in fields(self)
+                      if f.name not in _OPTIMIZER_FIELDS}
+        return SlateModel(num_nodes=num_nodes, **model_args)
 
 
 @dataclass
@@ -97,20 +102,21 @@ class EvalReport:
 
 
 class _EncodingCache:
-    """Window encodings depend only on the graph, so they are shared across
-    epochs and between training and evaluation."""
+    """Window encodings depend only on the graph and the model's encoding settings,
+    so they are shared across epochs and between training and evaluation."""
 
-    def __init__(self, g: DynamicGraph, cfg: TrainConfig):
+    def __init__(self, g: DynamicGraph, model: SlateModel):
         self.g = g
-        self.cfg = cfg
+        self.model = model
         self._tables: dict[int, object] = {}
 
     def window_and_table(self, t_end: int):
-        window = window_of(self.g, t_end, self.cfg.w)
+        m = self.model
+        window = window_of(self.g, t_end, m.w)
         if t_end not in self._tables:
             self._tables[t_end] = compute_window_encoding(
-                self.g, window, self.cfg.encoding, self.cfg.k, d_time=self.cfg.d_time,
-                supra_cfg=SupraConfig(vn_fallback_link=self.cfg.vn_fallback_link),
+                self.g, window, m.encoding, m.k, d_time=m.d_time,
+                supra_cfg=SupraConfig(vn_fallback_link=m.vn_fallback_link),
             )
         return window, self._tables[t_end]
 
@@ -142,13 +148,14 @@ def train(
     One optimizer step per (epoch, target snapshot). Negative draws depend on
     (seed, target snapshot) only, so an lr=0 run has a constant loss trace and
     reruns are bit-reproducible. Restores the best-validation parameters.
+    cfg supplies only the optimizer settings. A non-finite loss raises TrainingError.
     """
     if train_range is None or val_range is None:
         train_range, val_range, _ = split_chronological(g, SplitSpec.ratio(0.7, 0.15, 0.15))
     if len(train_range) < 2:
         raise ConfigError("training needs at least 2 snapshots (a window plus its target)")
 
-    cache = _EncodingCache(g, cfg)
+    cache = _EncodingCache(g, model)
     sampler = NegativeSampler.for_graph(g, "random")
     targets = [t for t in train_range if t >= 1]
     triples_by_target = {
@@ -169,10 +176,13 @@ def train(
                 with nn.Tape() as tape:
                     logits = _forward_scores(model, cache, t_pred, pairs)
                     loss = nn.mean_all(nn.bce_with_logits(logits, labels))
+                    if not np.isfinite(loss.item()):
+                        raise TrainingError(f"non-finite loss {loss.item()}")
                     tape.backward(loss)
                 nn.sgd_step(model.store, cfg.lr, cfg.weight_decay)
             except SlateError as exc:
-                raise type(exc)(f"epoch {epoch}, target snapshot {t_pred}: {exc}") from exc
+                exc.args = (f"epoch {epoch}, target snapshot {t_pred}: {exc}",)
+                raise
             epoch_loss += loss.item()
         history.losses.append(epoch_loss / len(targets))
 
@@ -210,15 +220,11 @@ def evaluate(
     report per-snapshot plus pooled AUC/AP over 1:1 sampled pairs.
 
     Negative draws are seeded per (seed, snapshot), so snapshots could be
-    scored concurrently over a frozen model without changing any result."""
+    scored concurrently over a frozen model without changing any result.
+    Non-finite logits raise TrainingError naming the snapshot."""
     if len(split_range) == 0:
         raise ConfigError("evaluation range is empty")
-    if cache is None:
-        cfg = TrainConfig(
-            w=model.w, k=model.k, d=model.d, encoding=model.encoding,
-            d_time=model.d_time, pooling=model.pooling, seed=seed,
-        )
-        cache = _EncodingCache(g, cfg)
+    cache = cache or _EncodingCache(g, model)
     sampler = NegativeSampler.for_graph(g, strategy, train_range)
     per_snapshot: list[SnapshotEval] = []
     all_scores: list[np.ndarray] = []
@@ -231,6 +237,8 @@ def evaluate(
             continue
         pairs, labels = _pairs_and_labels(triples)
         logits = _forward_scores(model, cache, t_pred, pairs)
+        if not np.isfinite(logits.data).all():
+            raise TrainingError(f"non-finite logits at snapshot {t_pred}")
         scores = nn._sigmoid(logits.data)
         per_snapshot.append(SnapshotEval(
             t=t_pred, auc=auc(scores, labels), ap=average_precision(scores, labels),

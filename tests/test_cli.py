@@ -164,7 +164,24 @@ class TestTrainEval:
             assert p.read_bytes() == content
 
 
+def write_gap_dataset(dirpath: Path) -> str:
+    """10 nodes, 8 snapshots alternating between nodes 0-4 and 5-9: every
+    two-layer window needs the virtual-node gap bridge."""
+    lines = [f"{u + 5 * (t % 2)} {u + 1 + 5 * (t % 2)} {t}" for t in range(8) for u in range(4)]
+    (dirpath / "gap.edges").write_text("\n".join(lines) + "\n")
+    (dirpath / "gap.meta").write_text("name = gap\nnum_nodes = 10\nnum_snapshots = 8\n")
+    return str(dirpath / "gap")
+
+
 class TestAblate:
+    def test_gap_bridge_reaches_evaluation(self, tmp_path):
+        out = tmp_path / "abl"
+        assert run("ablate", "--data", write_gap_dataset(tmp_path), "--out", out,
+                   "--encodings", "slate", "--edge-modules", "on", "--poolings", "mean",
+                   "--windows", "2", "--seeds", 1, "--vn-fallback-link", "true",
+                   *TINY_FLAGS) == 0
+        assert json.loads((out / "summary.json").read_text())["failures"] == []
+
     def test_grid_summary(self, tmp_path, tiny_dataset):
         out = tmp_path / "abl"
         assert run("ablate", "--data", tiny_dataset, "--out", out,

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ class TestElementwiseOps:
                 tape.backward(y)
 
 
+class TestTape:
+    def test_active_tape_is_per_thread(self):
+        # an op in another thread must not record onto this thread's open tape
+        x = Tensor(np.ones(3), requires_grad=True)
+        out = []
+        with Tape() as tape:
+            worker = threading.Thread(target=lambda: out.append(nn.mean_all(x)))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert tape._records == []
+        assert len(out) == 1 and not out[0].requires_grad
+
+
 class TestDeterminism:
     def test_forward_bit_identical(self):
         def run():
@@ -346,6 +361,17 @@ class TestCheckpoint:
             path.write_bytes(blob[:cut])
             with pytest.raises(ConfigError):
                 nn.load_checkpoint(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        store = ParameterStore(3)
+        store.zeros("b", 1)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(store, path)
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF  # first byte of the parameter name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            nn.load_checkpoint(path)
 
     def test_duplicate_name_rejected(self):
         store = ParameterStore(0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slate.dtdg import DynamicGraph, Snapshot, generate_erdos_renyi, generate_sbm
-from slate.errors import ConfigError, UndefinedMetricError
+from slate.errors import ConfigError, ConnectivityError, TrainingError, UndefinedMetricError
 from slate.metrics import auc, average_precision
 from slate.sampling import NegativeSampler, sample_pairs
 from slate.training import EvalReport, TrainConfig, evaluate, train
@@ -267,6 +267,53 @@ class TestEvaluate:
         model = cfg.build_model(g.num_nodes)
         report = evaluate(model, g, range(4, 5), strategy="random", seed=0)
         assert report.per_snapshot[0].t == 4  # window {1,2,3} crosses the split
+
+
+def alternating_groups_graph():
+    """10 nodes; even snapshots use nodes 0-4, odd ones 5-9, so every two-layer
+    window has a gap that only the virtual-node bridge closes."""
+    paths = ([(0, 1), (1, 2), (2, 3), (3, 4)], [(5, 6), (6, 7), (7, 8), (8, 9)])
+    return graph_from_edge_lists(10, [paths[t % 2] for t in range(8)])
+
+
+def gap_config(**kw):
+    return TrainConfig(w=2, k=2, d=16, heads=2, nhead_xa=1, ffn_dim=32, epochs=2, seed=0, **kw)
+
+
+class TestConfigDrift:
+    def test_evaluate_without_cache_keeps_the_bridge(self):
+        g = alternating_groups_graph()
+        cfg = gap_config(vn_fallback_link=True)
+        model = cfg.build_model(g.num_nodes)
+        train(model, g, cfg, range(0, 5), range(5, 6))
+        report = evaluate(model, g, range(6, 8))
+        assert [s.t for s in report.per_snapshot] == [6, 7]
+
+    def test_reraise_keeps_typed_fields(self):
+        g = alternating_groups_graph()
+        cfg = gap_config()
+        with pytest.raises(ConnectivityError, match=r"epoch 0, target snapshot 2") as info:
+            train(cfg.build_model(g.num_nodes), g, cfg, range(0, 5), range(5, 6))
+        assert info.value.gap == (0, 1)
+
+
+class TestNonFinite:
+    def nan_model(self):
+        g = generate_sbm(12, 2, 0.6, 0.1, 6, seed=2)
+        cfg = TrainConfig(w=2, k=2, d=16, heads=2, nhead_xa=1, ffn_dim=32, epochs=3, seed=0)
+        model = cfg.build_model(g.num_nodes)
+        model.head_b2.data[...] = np.nan
+        return g, cfg, model
+
+    def test_train_raises_on_nan_loss(self):
+        g, cfg, model = self.nan_model()
+        with pytest.raises(TrainingError, match=r"epoch 0, target snapshot \d+: non-finite loss"):
+            train(model, g, cfg, range(0, 4), range(4, 5))
+
+    def test_evaluate_raises_on_nan_logits(self):
+        g, _, model = self.nan_model()
+        with pytest.raises(TrainingError, match=r"non-finite logits at snapshot 4"):
+            evaluate(model, g, range(4, 6), seed=0)
 
 
 def test_train_errors_carry_epoch_context():
