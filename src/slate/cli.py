@@ -28,7 +28,7 @@ from .dtdg import (
     write_edge_list,
     write_metadata,
 )
-from .errors import ConnectivityError, DegenerateWindowError, SlateError
+from .errors import ConfigError, ConnectivityError, DegenerateWindowError, SlateError
 from .model import EncodingKind, PoolingSpec
 from .nn import load_checkpoint, save_checkpoint
 from .spectral import (
@@ -107,7 +107,11 @@ _INSPECT = Schema({
     "vn_fallback_link": (parse_bool, False),
 })
 
-_ABLATE = Schema(dict(_TRAIN_FIELDS) | {
+# Every ablation cell sets these from --windows, --encodings, --edge-modules and
+# --poolings, so ablate takes no flag or config key for them.
+_CELL_FIELDS = ("w", "encoding", "use_edge_module", "pooling")
+
+_ABLATE = Schema({k: v for k, v in _TRAIN_FIELDS.items() if k not in _CELL_FIELDS} | {
     "encodings": (str, "slate,slate-notransform"),
     "edge_modules": (str, "on,off"),
     "poolings": (str, "mean"),
@@ -162,12 +166,20 @@ def _split_ranges(cfg: dict, g: DynamicGraph):
     return split_chronological(g, spec)
 
 
+def _encoding_kind(name: str) -> EncodingKind:
+    try:
+        return EncodingKind(name)
+    except ValueError:
+        known = ", ".join(kind.value for kind in EncodingKind)
+        raise ConfigError(f"unknown encoding {name!r}; expected one of {known}") from None
+
+
 def _train_config(cfg: dict) -> TrainConfig:
     """The run's resolved values as a TrainConfig; the one place one is built."""
     plain = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)
              if f.name not in ("pooling", "encoding")}
     return TrainConfig(**plain, pooling=PoolingSpec(cfg["pooling"], cfg["pool_last_k"]),
-                       encoding=EncodingKind(cfg["encoding"]))
+                       encoding=_encoding_kind(cfg["encoding"]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +353,8 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     g = load_dataset(cfg["data"])
     train_range, val_range, test_range = _split_ranges(cfg, g)
-    base = _train_config(cfg)
-    encodings = [EncodingKind(e.strip()) for e in cfg["encodings"].split(",")]
+    base = _train_config(cfg | {name: _TRAIN_FIELDS[name][1] for name in _CELL_FIELDS})
+    encodings = [_encoding_kind(e.strip()) for e in cfg["encodings"].split(",")]
     edge_flags = [e.strip() == "on" for e in cfg["edge_modules"].split(",")]
     poolings = [p.strip() for p in cfg["poolings"].split(",")]
     windows = _parse_windows(cfg["windows"])

@@ -151,13 +151,10 @@ class SlateModel:
         return nn.concat_last([emb, enc])
 
     def encode(self, z: Tensor, return_weights: bool = False):
-        """Dense self-attention over all tokens of the window."""
-        if return_weights:
-            a = nn.layer_norm(z, self.encoder.ln1_g, self.encoder.ln1_b) if self.encoder.norm_first else z
-            _, weights = nn.multi_head_attention(a, a, self.encoder.heads, self.encoder.attn,
-                                                 return_weights=True)
-            return nn.encoder_layer(z, self.encoder), weights
-        return nn.encoder_layer(z, self.encoder)
+        """One encoder layer of dense self-attention over all tokens of the
+        window. With return_weights, also returns that layer's detached
+        attention probabilities, shape (heads, tokens, tokens)."""
+        return nn.encoder_layer(z, self.encoder, return_weights=return_weights)
 
     def _sequence_indices(self, nodes: np.ndarray, num_members: int) -> np.ndarray:
         return np.arange(num_members)[None, :] * self.num_nodes + np.asarray(nodes)[:, None]

@@ -2,9 +2,11 @@
 
 Just enough machinery for one encoder layer, a cross-attention block, and a
 logit-space binary cross-entropy: float64 row-major tensors, a tape recording
-backward closures in execution order, and SGD. A forward/backward pass with its
-tape belongs to one thread: the active tape is per thread, so no-grad forwards
-over frozen parameters are safe to run concurrently with training.
+backward closures in execution order, and SGD. Attention runs its heads as one
+array axis through batched matmuls; `permute` is the one primitive that moves
+axes. A forward/backward pass with its tape belongs to one thread: the active
+tape is per thread, so no-grad forwards over frozen parameters are safe to run
+concurrently with training.
 """
 
 from __future__ import annotations
@@ -89,10 +91,6 @@ def _track(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 # ---------------------------------------------------------------------------
 # Primitive operations
 # ---------------------------------------------------------------------------
@@ -147,9 +145,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """np.matmul semantics for 2D/3D operands; 3D @ 2D sums the weight gradient
-    over the batch axis."""
-    if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
+    """Batched a @ b over equal leading axes: (..., m, k) @ (..., k, n)."""
+    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     out = Tensor(np.matmul(a.data, b.data))
 
@@ -160,22 +158,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.ensure_grad()[...] += np.matmul(g, np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if b.data.ndim < gb.ndim:
-                gb = gb.reshape(-1, *b.shape[-2:]).sum(axis=0) if gb.ndim > 2 else gb
-            b.ensure_grad()[...] += gb
+            b.ensure_grad()[...] += np.matmul(np.swapaxes(a.data, -1, -2), g)
 
     return _track(out, (a, b), backward)
 
 
-def transpose_last(a: Tensor) -> Tensor:
-    out = Tensor(np.swapaxes(a.data, -1, -2))
+def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Reorder the axes of a, as np.transpose(a, axes)."""
+    out = Tensor(np.transpose(a.data, axes))
+    inverse = np.argsort(axes)
 
     def backward():
         if out.grad is None:
             return
         if a.requires_grad:
-            a.ensure_grad()[...] += np.swapaxes(out.grad, -1, -2)
+            a.ensure_grad()[...] += np.transpose(out.grad, inverse)
 
     return _track(out, (a,), backward)
 
@@ -204,18 +201,6 @@ def concat_last(parts: list[Tensor]) -> Tensor:
                 p.ensure_grad()[...] += out.grad[..., lo:hi]
 
     return _track(out, tuple(parts), backward)
-
-
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[..., start:stop].copy())
-
-    def backward():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a.ensure_grad()[..., start:stop] += out.grad
-
-    return _track(out, (a,), backward)
 
 
 def slice_axis1(a: Tensor, start: int, stop: int) -> Tensor:
@@ -265,18 +250,6 @@ def relu(a: Tensor) -> Tensor:
             return
         if a.requires_grad:
             a.ensure_grad()[...] += out.grad * (a.data > 0.0)
-
-    return _track(out, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(_sigmoid(a.data))
-
-    def backward():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a.ensure_grad()[...] += out.grad * out.data * (1.0 - out.data)
 
     return _track(out, (a,), backward)
 
@@ -497,31 +470,33 @@ def multi_head_attention(
     """Scaled dot-product attention, no masking, optional leading batch axis.
 
     Queries come from q, keys and values from kv; self-attention is q is kv.
-    Per-head scale is 1/sqrt(dim/heads). With return_weights, also returns the
-    detached attention probabilities, shape (..., heads, m, n).
+    The heads are one array axis: each projection is split to (..., heads, m,
+    dh) and every head's scores come from one batched matmul. Per-head scale
+    is 1/sqrt(dh), applied to the query projection. With return_weights, also
+    returns the detached attention probabilities, shape (..., heads, m, n).
     """
     dim = q.shape[-1]
     if dim % heads != 0:
         raise ConfigError(f"model dim {dim} not divisible by heads {heads}")
-    if kv.shape[-1] != dim:
+    if kv.shape[-1] != dim or kv.shape[:-2] != q.shape[:-2]:
         raise ShapeError(f"attention: q{q.shape} vs kv{kv.shape}")
     dh = dim // heads
-    scale = 1.0 / np.sqrt(dh)
-    Q = linear(q, params.wq, params.bq)
-    K = linear(kv, params.wk, params.bk)
-    V = linear(kv, params.wv, params.bv)
-    outs, weights = [], []
-    for h in range(heads):
-        qh = slice_last(Q, h * dh, (h + 1) * dh)
-        kh = slice_last(K, h * dh, (h + 1) * dh)
-        vh = slice_last(V, h * dh, (h + 1) * dh)
-        att = softmax_last(mul_scalar(matmul(qh, transpose_last(kh)), scale))
-        outs.append(matmul(att, vh))
-        if return_weights:
-            weights.append(att.data.copy())
-    out = linear(concat_last(outs), params.wo, params.bo)
+    nb = q.data.ndim - 2
+    lead = tuple(range(nb))
+    to_heads = (*lead, nb + 1, nb, nb + 2)  # (..., m, heads, dh) <-> (..., heads, m, dh)
+    to_heads_t = (*lead, nb + 1, nb + 2, nb)  # (..., n, heads, dh) -> (..., heads, dh, n)
+
+    def split(x: Tensor, axes) -> Tensor:
+        return permute(reshape(x, (*x.shape[:-1], heads, dh)), axes)
+
+    Q = split(mul_scalar(linear(q, params.wq, params.bq), 1.0 / np.sqrt(dh)), to_heads)
+    K = split(linear(kv, params.wk, params.bk), to_heads_t)
+    V = split(linear(kv, params.wv, params.bv), to_heads)
+    att = softmax_last(matmul(Q, K))
+    merged = reshape(permute(matmul(att, V), to_heads), q.shape)
+    out = linear(merged, params.wo, params.bo)
     if return_weights:
-        return out, np.stack(weights, axis=-3)
+        return out, att.data.copy()
     return out
 
 
@@ -556,20 +531,25 @@ def init_encoder_layer(
     )
 
 
-def encoder_layer(z: Tensor, params: EncoderLayerParams) -> Tensor:
+def encoder_layer(z: Tensor, params: EncoderLayerParams, return_weights: bool = False):
     """One transformer encoder block: attention + feed-forward with residuals,
-    pre-norm or post-norm per params.norm_first."""
+    pre-norm or post-norm per params.norm_first. With return_weights, also
+    returns the block's detached attention probabilities, shape (..., heads,
+    m, m)."""
 
     def ffn(x):
         return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
 
+    a = layer_norm(z, params.ln1_g, params.ln1_b) if params.norm_first else z
+    att = multi_head_attention(a, a, params.heads, params.attn, return_weights=return_weights)
+    att, weights = att if return_weights else (att, None)
     if params.norm_first:
-        a = layer_norm(z, params.ln1_g, params.ln1_b)
-        h = add(z, multi_head_attention(a, a, params.heads, params.attn))
-        return add(h, ffn(layer_norm(h, params.ln2_g, params.ln2_b)))
-    h = layer_norm(add(z, multi_head_attention(z, z, params.heads, params.attn)),
-                   params.ln1_g, params.ln1_b)
-    return layer_norm(add(h, ffn(h)), params.ln2_g, params.ln2_b)
+        h = add(z, att)
+        out = add(h, ffn(layer_norm(h, params.ln2_g, params.ln2_b)))
+    else:
+        h = layer_norm(add(z, att), params.ln1_g, params.ln1_b)
+        out = layer_norm(add(h, ffn(h)), params.ln2_g, params.ln2_b)
+    return (out, weights) if return_weights else out
 
 
 # ---------------------------------------------------------------------------

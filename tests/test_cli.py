@@ -127,8 +127,9 @@ def tiny_dataset(tmp_path):
     return out / "tiny"
 
 
-TINY_FLAGS = ["--w", 2, "--k", 2, "--d", 16, "--heads", 2, "--nhead-xa", 1,
-              "--ffn-dim", 32, "--epochs", 2, "--patience", 5, "--seed", 0]
+ABLATE_FLAGS = ["--k", 2, "--d", 16, "--heads", 2, "--nhead-xa", 1,
+                "--ffn-dim", 32, "--epochs", 2, "--patience", 5, "--seed", 0]
+TINY_FLAGS = ["--w", 2, *ABLATE_FLAGS]
 
 
 class TestTrainEval:
@@ -163,6 +164,11 @@ class TestTrainEval:
         for p, content in first.items():
             assert p.read_bytes() == content
 
+    def test_unknown_encoding_rejected(self, tmp_path, tiny_dataset, capsys):
+        assert run("train", "--data", tiny_dataset, "--out", tmp_path / "run",
+                   "--encoding", "bogus", *TINY_FLAGS) == 2
+        assert "error: unknown encoding 'bogus'" in capsys.readouterr().err
+
 
 def write_gap_dataset(dirpath: Path) -> str:
     """10 nodes, 8 snapshots alternating between nodes 0-4 and 5-9: every
@@ -179,7 +185,7 @@ class TestAblate:
         assert run("ablate", "--data", write_gap_dataset(tmp_path), "--out", out,
                    "--encodings", "slate", "--edge-modules", "on", "--poolings", "mean",
                    "--windows", "2", "--seeds", 1, "--vn-fallback-link", "true",
-                   *TINY_FLAGS) == 0
+                   *ABLATE_FLAGS) == 0
         assert json.loads((out / "summary.json").read_text())["failures"] == []
 
     def test_grid_summary(self, tmp_path, tiny_dataset):
@@ -187,7 +193,7 @@ class TestAblate:
         assert run("ablate", "--data", tiny_dataset, "--out", out,
                    "--encodings", "slate,slate-notransform", "--edge-modules", "on",
                    "--poolings", "mean", "--windows", "2,inf", "--seeds", 1,
-                   *TINY_FLAGS) == 0
+                   *ABLATE_FLAGS) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["cells"]) == 2 * 1 * 1 * 2  # encodings x edge x pool x windows
         assert summary["failures"] == []
@@ -197,13 +203,30 @@ class TestAblate:
         for cell in summary["cells"]:
             assert cell["seeds"] == 1
             assert "±" in cell["auc_pct"]
+        echoed = {line.split(" = ")[0] for line in (out / "config.txt").read_text().splitlines()}
+        assert not echoed & {"w", "encoding", "use_edge_module", "pooling"}
+
+    def test_cell_settings_rejected(self, tmp_path, tiny_dataset):
+        # each cell sets w, encoding, edge module and pooling from the grid flags
+        base = ["ablate", "--data", tiny_dataset, "--out", tmp_path / "abl", *ABLATE_FLAGS]
+        with pytest.raises(SystemExit) as exc:
+            run(*base, "--w", 1)
+        assert exc.value.code == 2
+        cfg = tmp_path / "abl.cfg"
+        cfg.write_text("encoding = lappe-time\n")
+        assert run(*base, "--config", cfg) == 2
+
+    def test_unknown_encoding_rejected(self, tmp_path, tiny_dataset, capsys):
+        assert run("ablate", "--data", tiny_dataset, "--out", tmp_path / "abl",
+                   "--encodings", "slate,bogus", *ABLATE_FLAGS) == 2
+        assert "error: unknown encoding 'bogus'" in capsys.readouterr().err
 
     def test_multi_seed_mean_std(self, tmp_path, tiny_dataset):
         out = tmp_path / "abl"
         assert run("ablate", "--data", tiny_dataset, "--out", out,
                    "--encodings", "slate", "--edge-modules", "off",
                    "--poolings", "mean", "--windows", "2", "--seeds", 2,
-                   *TINY_FLAGS) == 0
+                   *ABLATE_FLAGS) == 0
         cell = json.loads((out / "summary.json").read_text())["cells"][0]
         assert cell["seeds"] == 2
         assert cell["std_auc"] >= 0.0

@@ -87,6 +87,12 @@ class TestEncode:
         assert weights.shape == (model.encoder.heads, m, m)
         assert (weights > 0).all()  # softmax without masking touches every token
 
+    def test_return_weights_leaves_the_output_unchanged(self):
+        g, model, window, table = toy_setup()
+        z = model.token_sequence(table, len(window))
+        out, _ = model.encode(z, return_weights=True)
+        assert np.array_equal(out.data, model.encode(z).data)
+
 
 class TestEdgeScoring:
     def test_single_matches_batched(self):

@@ -118,6 +118,57 @@ class TestAttention:
             single = nn.multi_head_attention(Tensor(q[b]), Tensor(kv[b]), 2, params)
             assert np.allclose(batched.data[b], single.data, atol=1e-12)
 
+    @staticmethod
+    def _reference(q, kv, heads, params):
+        """Per-head NumPy attention: slice Q, K and V, softmax each head's
+        scaled scores, concatenate the heads, project."""
+        Q = q @ params.wq.data + params.bq.data
+        K = kv @ params.wk.data + params.bk.data
+        V = kv @ params.wv.data + params.bv.data
+        dh = q.shape[-1] // heads
+        outs, weights = [], []
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = Q[..., cols] @ np.swapaxes(K[..., cols], -1, -2) / math.sqrt(dh)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            att = e / e.sum(axis=-1, keepdims=True)
+            outs.append(att @ V[..., cols])
+            weights.append(att)
+        out = np.concatenate(outs, axis=-1) @ params.wo.data + params.bo.data
+        return out, np.stack(weights, axis=-3)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_matches_per_head_reference(self, heads, batch):
+        rng = np.random.default_rng(heads)
+        store, params = self._params(8, seed=6)
+        for p in (params.bq, params.bk, params.bv, params.bo):
+            p.data[...] = rng.standard_normal(p.shape)
+        q = rng.standard_normal((*batch, 5, 8))
+        kv = rng.standard_normal((*batch, 7, 8))
+        out, weights = nn.multi_head_attention(Tensor(q), Tensor(kv), heads, params,
+                                               return_weights=True)
+        ref_out, ref_weights = self._reference(q, kv, heads, params)
+        assert weights.shape == (*batch, heads, 5, 7)
+        assert np.abs(out.data - ref_out).max() < 1e-12
+        assert np.abs(weights - ref_weights).max() < 1e-12
+
+    def test_tape_length_independent_of_heads(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        lengths = []
+        for heads in (1, 4):
+            store, params = self._params(8)
+            with Tape() as tape:
+                nn.multi_head_attention(x, x, heads, params)
+            lengths.append(len(tape._records))
+        assert lengths[0] == lengths[1]
+
+    def test_leading_axes_must_match(self):
+        store, params = self._params(4)
+        with pytest.raises(ShapeError):
+            nn.multi_head_attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))), 2, params)
+
 
 class TestEncoderLayer:
     def test_residual_identity_at_zeroed_projections(self):
@@ -243,22 +294,23 @@ class TestElementwiseOps:
         a3 = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         b3 = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
         idx = np.array([[0, 2], [1, 1]])
+        a4 = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)  # batch x heads
+        b4 = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
 
         cases = {
             "add": (lambda: nn.mean_all(nn.add(a2, b2)), [a2, b2]),
             "mul_scalar": (lambda: nn.mean_all(nn.mul_scalar(a2, -1.7)), [a2]),
             "matmul2": (lambda: nn.mean_all(nn.matmul(a2, w)), [a2, w]),
-            "matmul3_2": (lambda: nn.mean_all(nn.matmul(a3, w)), [a3, w]),
             "matmul3_3": (lambda: nn.mean_all(nn.matmul(a3, b3)), [a3, b3]),
-            "transpose": (lambda: nn.mean_all(nn.matmul(a2, nn.transpose_last(b2))), [a2, b2]),
+            "matmul4_4": (lambda: nn.mean_all(nn.matmul(a4, b4)), [a4, b4]),
+            # a max readout puts the gradient where the permutation says
+            "permute": (lambda: nn.mean_all(nn.max_axis(nn.permute(a3, (2, 0, 1)), 1)), [a3]),
             "reshape": (lambda: nn.mean_all(nn.mul_scalar(nn.reshape(a3, (6, 4)), 2.0)), [a3]),
             "concat": (lambda: nn.mean_all(nn.relu(nn.concat_last([a2, b2]))), [a2, b2]),
-            "slice_last": (lambda: nn.mean_all(nn.relu(nn.slice_last(a2, 1, 3))), [a2]),
             "slice_axis1": (lambda: nn.mean_all(nn.relu(nn.slice_axis1(a3, 1, 3))), [a3]),
             "gather": (lambda: nn.mean_all(nn.relu(nn.gather_rows(a2, idx))), [a2]),
             "repeat": (lambda: nn.mean_all(nn.relu(nn.repeat_rows(a2, 3))), [a2]),
             "relu": (lambda: nn.mean_all(nn.relu(a2)), [a2]),
-            "sigmoid": (lambda: nn.mean_all(nn.sigmoid(a2)), [a2]),
             # read out through a matmul; the raw mean of a softmax is constant
             "softmax": (lambda: nn.mean_all(nn.matmul(nn.softmax_last(a2), w)), [a2]),
             "mean_axis": (lambda: nn.mean_all(nn.relu(nn.mean_axis(a3, 1))), [a3]),
@@ -271,6 +323,10 @@ class TestElementwiseOps:
                 assert_grads_match(build, params, tol=1e-4)
             except AssertionError as exc:
                 raise AssertionError(f"{name}: {exc}") from exc
+
+    def test_matmul_rejects_unequal_rank(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\) @ \(4, 5\)"):
+            nn.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
 
     def test_gradients_accumulate_over_reuse(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
