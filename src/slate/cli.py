@@ -334,8 +334,11 @@ def cmd_eval(args) -> int:
     }
     (out / f"eval_{cfg['strategy']}.json").write_text(report.to_json() + "\n", encoding="utf-8")
     write_echo(cfg, out / "eval_config.txt")
-    print(f"{cfg['strategy']}: AUC {report.aggregate_auc:.4f}, AP {report.aggregate_ap:.4f} "
-          f"over {report.n_pairs} pairs")
+    line = (f"{cfg['strategy']}: AUC {report.aggregate_auc:.4f}, AP {report.aggregate_ap:.4f} "
+            f"over {report.n_pairs} pairs")
+    if report.fallback_count:
+        line += f", {report.fallback_count} negative-pool fallbacks"
+    print(line)
     return 0
 
 

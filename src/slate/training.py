@@ -239,7 +239,7 @@ def evaluate(
         logits = _forward_scores(model, cache, t_pred, pairs)
         if not np.isfinite(logits.data).all():
             raise TrainingError(f"non-finite logits at snapshot {t_pred}")
-        scores = nn._sigmoid(logits.data)
+        scores = logits.data  # ranked as logits: a float64 sigmoid ties them above ~37
         per_snapshot.append(SnapshotEval(
             t=t_pred, auc=auc(scores, labels), ap=average_precision(scores, labels),
             n_pairs=len(pairs),

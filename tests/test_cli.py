@@ -169,6 +169,24 @@ class TestTrainEval:
                    "--encoding", "bogus", *TINY_FLAGS) == 2
         assert "error: unknown encoding 'bogus'" in capsys.readouterr().err
 
+    def test_eval_line_reports_fallbacks(self, tmp_path, capsys):
+        # nodes 10 and 11 first appear in the last (test) snapshot: u=10 of the
+        # positive (10, 11) has an empty history pool; every other u has one
+        lines = [f"{i} {i + 1 + t % 2} {t}" for t in range(8) for i in range(9 - t % 2)]
+        (tmp_path / "late.edges").write_text("\n".join(lines + ["0 10 7", "10 11 7"]) + "\n")
+        (tmp_path / "late.meta").write_text("name = late\nnum_nodes = 12\nnum_snapshots = 8\n")
+        run_dir, ev = tmp_path / "run", tmp_path / "eval"
+        assert run("train", "--data", tmp_path / "late", "--out", run_dir, *TINY_FLAGS) == 0
+        capsys.readouterr()
+        for strategy in ("random", "historical"):
+            assert run("eval", "--run", run_dir, "--strategy", strategy, "--out", ev) == 0
+        random_line, historical_line = capsys.readouterr().out.splitlines()
+        assert historical_line.startswith("historical: AUC ")
+        assert historical_line.endswith(" pairs, 1 negative-pool fallbacks")
+        assert random_line.endswith(" pairs")
+        report = json.loads((ev / "eval_historical.json").read_text())
+        assert report["warnings"]["negative_pool_fallbacks"] == 1
+
 
 def write_gap_dataset(dirpath: Path) -> str:
     """10 nodes, 8 snapshots alternating between nodes 0-4 and 5-9: every

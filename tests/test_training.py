@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slate.dtdg import DynamicGraph, Snapshot, generate_erdos_renyi, generate_sbm
 from slate.errors import ConfigError, ConnectivityError, TrainingError, UndefinedMetricError
 from slate.metrics import auc, average_precision
-from slate.sampling import NegativeSampler, sample_pairs
+from slate.sampling import STRATEGIES, NegativeSampler, Neighbours, sample_pairs
 from slate.training import EvalReport, TrainConfig, evaluate, train
 
 
@@ -169,6 +171,102 @@ class TestSamplePairs:
                         if strategy == "inductive":
                             assert e_neg not in train_edges
 
+    @pytest.mark.parametrize("t_pred", [-1, 2])
+    def test_out_of_range_snapshot_rejected(self, t_pred):
+        g = graph_from_edge_lists(4, [[(0, 1)], [(1, 2)]])
+        sampler = NegativeSampler.for_graph(g, "historical")
+        with pytest.raises(ConfigError, match=r"prediction snapshot -?\d+ outside \[0, 2\)"):
+            sample_pairs(sampler, g, t_pred, np.random.default_rng(0))
+
+
+def reference_pool(strategy, u, positives, history, train_edges, num_nodes):
+    """The candidate pool as set arithmetic over canonical edges: ascending
+    v != u, not a positive now; historical draws only from u's past partners,
+    inductive drops u's training partners."""
+    def canon(v):
+        return (min(u, v), max(u, v))
+
+    if strategy == "historical":
+        cands = sorted({x if y == u else y for x, y in history if u in (x, y)})
+    else:
+        cands = range(num_nodes)
+    return [v for v in cands if v != u and canon(v) not in positives
+            and not (strategy == "inductive" and canon(v) in train_edges)]
+
+
+def reference_sample_pairs(strategy, g, t_pred, train_edges, rng):
+    """sample_pairs over reference_pool; returns (triples, fallback count)."""
+    positives = g.snapshots[t_pred].edges
+    history = g.edge_union(t_pred)
+    triples, fallbacks = [], 0
+    for u, v_pos in sorted(positives):
+        pool = reference_pool(strategy, u, positives, history, train_edges, g.num_nodes)
+        if not pool and strategy != "random":
+            fallbacks += 1
+            pool = reference_pool("random", u, positives, history, train_edges, g.num_nodes)
+        if pool:
+            triples.append((u, v_pos, pool[rng.integers(len(pool))]))
+    return triples, fallbacks
+
+
+def assert_sampler_matches_reference(g, train_stop, seeds=range(3)):
+    n = g.num_nodes
+    train_edges = g.edge_union(train_stop)
+    for strategy in STRATEGIES:
+        sampler = NegativeSampler.for_graph(g, strategy, range(0, train_stop))
+        for t in range(g.num_snapshots):
+            positives, history = g.snapshots[t].edges, g.edge_union(t)
+            pos_neighbours, history_neighbours = Neighbours.of(positives, n), Neighbours.of(history, n)
+            for u in range(n):
+                pool = sampler.pool_for(u, pos_neighbours, history_neighbours, n)
+                assert pool.dtype == np.int64
+                assert pool.tolist() == reference_pool(strategy, u, positives, history, train_edges, n)
+            for seed in seeds:
+                before = sampler.fallback_count
+                triples = sample_pairs(sampler, g, t, np.random.default_rng([seed, t]))
+                expected, fallbacks = reference_sample_pairs(
+                    strategy, g, t, train_edges, np.random.default_rng([seed, t]))
+                assert triples == expected
+                assert sampler.fallback_count - before == fallbacks
+
+
+ALL_PAIRS_6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+FIXED_GRAPHS = {
+    # t=1 has no history at all: every historical pool falls back
+    "empty history": (5, [[], [(0, 1), (2, 3)], [(1, 2)]], 1),
+    # u=0 is a positive of every other node at t=1: skipped under every strategy
+    "saturating u": (5, [[(1, 2)], [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)], [(0, 4)]], 1),
+    "empty snapshot": (5, [[(0, 1), (2, 3)], [], [(1, 2), (0, 3)]], 2),
+    # training covers all pairs but (0, 5) and (1, 4): inductive pools are empty
+    # (fallback) or hold the one partner u never met in training
+    "inductive train covers most pairs": (
+        6, [[p for p in ALL_PAIRS_6 if p not in {(0, 5), (1, 4)}], [(0, 1), (2, 3)],
+         [(0, 2), (1, 3), (4, 5)]], 2),
+}
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    snapshots = draw(st.lists(st.lists(st.sampled_from(pairs), unique=True), min_size=1, max_size=4))
+    return graph_from_edge_lists(n, snapshots), draw(st.integers(1, len(snapshots)))
+
+
+class TestSamplerReference:
+    @pytest.mark.parametrize("name", FIXED_GRAPHS)
+    def test_fixed_graphs(self, name):
+        n, snapshots, train_stop = FIXED_GRAPHS[name]
+        assert_sampler_matches_reference(graph_from_edge_lists(n, snapshots), train_stop)
+
+    @given(graph=small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_graphs(self, graph):
+        assert_sampler_matches_reference(*graph)
+
+    def test_generated_graph(self):
+        assert_sampler_matches_reference(generate_sbm(30, 3, 0.4, 0.05, 5, seed=7), 3)
+
 
 class TestTrainLoop:
     def small_setup(self, lr=0.1, epochs=3, patience=50, **kw):
@@ -236,6 +334,19 @@ class TestEvaluate:
         assert report.aggregate_auc == 0.5
         for snap_eval in report.per_snapshot:
             assert snap_eval.auc == 0.5
+
+    def test_constant_logit_shift_keeps_metrics(self):
+        # a float64 sigmoid rounds every logit above ~37 to 1.0; ranked as
+        # logits, a shift of the head's bias cannot move AUC or AP
+        g = generate_sbm(12, 2, 0.6, 0.1, 6, seed=2)
+        cfg = TrainConfig(w=2, k=2, d=16, heads=2, nhead_xa=1, ffn_dim=32, seed=0)
+        model = cfg.build_model(g.num_nodes)
+        before = evaluate(model, g, range(3, 6), seed=0)
+        model.head_b2.data[...] += 60.0
+        after = evaluate(model, g, range(3, 6), seed=0)
+        assert before.aggregate_auc != 0.5
+        assert (after.aggregate_auc, after.aggregate_ap) == (before.aggregate_auc, before.aggregate_ap)
+        assert [(s.auc, s.ap) for s in after.per_snapshot] == [(s.auc, s.ap) for s in before.per_snapshot]
 
     def test_one_row_per_nonempty_test_snapshot(self):
         # the final snapshot has no positives: skipped before its window is built
