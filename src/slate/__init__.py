@@ -27,7 +27,7 @@ from .spectral import (
     raw_encoding,
     smallest_eigenpairs,
 )
-from .supra import SupraConfig, SupraGraph, build_supra, verify_connected
+from .supra import SupraGraph, build_supra, verify_connected
 from .training import EvalReport, TrainConfig, evaluate, train
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "NegativeSampler", "sample_pairs",
     "NormalizedSupraLaplacian", "RawEncodingTable", "SpectralBasis",
     "normalized_laplacian", "raw_encoding", "smallest_eigenpairs",
-    "SupraConfig", "SupraGraph", "build_supra", "verify_connected",
+    "SupraGraph", "build_supra", "verify_connected",
     "EvalReport", "TrainConfig", "evaluate", "train",
 ]

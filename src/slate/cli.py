@@ -37,7 +37,7 @@ from .spectral import (
     raw_encoding,
     smallest_eigenpairs,
 )
-from .supra import SupraConfig, build_block_diagonal, build_supra, count_components
+from .supra import build_block_diagonal, build_supra, count_components
 from .training import TrainConfig, evaluate, train
 
 # ---------------------------------------------------------------------------
@@ -147,10 +147,15 @@ def load_dataset(stem: str) -> DynamicGraph:
     fmt = EdgeListFormat()
     if meta_path.exists():
         meta = read_metadata(meta_path)
-        fmt = EdgeListFormat(
-            num_nodes=int(meta["num_nodes"]),
-            num_snapshots=int(meta["num_snapshots"]),
-        )
+        counts = {}
+        for key in ("num_nodes", "num_snapshots"):
+            if key not in meta:
+                raise ConfigError(f"{meta_path}: missing key {key!r}")
+            try:
+                counts[key] = int(meta[key])
+            except ValueError:
+                raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not an integer") from None
+        fmt = EdgeListFormat(**counts)
     g, _ = read_edge_list(str(edges_path), fmt)
     return g
 
@@ -214,7 +219,8 @@ def cmd_generate(args) -> int:
 def _dump_variant(out: Path, prefix: str, sg, basis, table, members) -> None:
     lines = [f"{i} {j}" for i, j in sg.coordinate_list()]
     (out / f"{prefix}_adjacency.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    im_lines = [f"{u} {members[tau]} {row}" for (u, tau), row in sorted(sg.index_map.items())]
+    node, tau = np.nonzero(sg.rows.T >= 0)  # node-major, like the sorted (node, tau) keys
+    im_lines = [f"{u} {members[t]} {row}" for u, t, row in zip(node, tau, sg.rows[tau, node])]
     (out / f"{prefix}_index_map.txt").write_text("\n".join(im_lines) + "\n", encoding="utf-8")
     ev = [f"{v:.12g}" for v in basis.eigenvalues]
     if basis.lambda0 is not None:
@@ -246,17 +252,15 @@ def cmd_inspect(args) -> int:
     g = load_dataset(cfg["data"])
     window = window_of(g, cfg["t"], cfg["w"])
     snapshots = [g.snapshots[t] for t in window.members]
-    masks = [s.isolation_mask() for s in snapshots]
     summary: dict = {"window": list(window.members), "k": cfg["k"]}
     failed = False
 
     try:
-        sg = build_supra(snapshots, masks, SupraConfig(cfg["vn_fallback_link"]), window)
-        lap = normalized_laplacian(sg)
-        basis = smallest_eigenpairs(lap, cfg["k"])
-        table = raw_encoding(basis, sg, g.num_nodes)
+        sg = build_supra(snapshots, window, vn_fallback_link=cfg["vn_fallback_link"])
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), cfg["k"])
+        table = raw_encoding(basis, sg)
         _dump_variant(out, "transformed", sg, basis, table, window.members)
-        layer_means = _layer_means(table, masks)
+        layer_means = _layer_means(table, sg.masks)
         summary["transformed"] = {
             "rows": sg.size,
             "components": count_components(sg.adjacency),
@@ -269,11 +273,11 @@ def cmd_inspect(args) -> int:
         summary["transformed"] = {"error": str(exc)}
         failed = True
 
-    raw_sg = build_block_diagonal(snapshots, window)
-    raw_lap = normalized_laplacian(raw_sg, allow_isolated=True)
+    raw_sg = build_block_diagonal(snapshots)
+    raw_lap = normalized_laplacian(raw_sg.adjacency, allow_isolated=True)
     k_raw = min(cfg["k"], raw_sg.size)
     raw_basis = smallest_eigenpairs(raw_lap, k_raw, discard_trivial=False)
-    raw_table = raw_encoding(raw_basis, raw_sg, g.num_nodes)
+    raw_table = raw_encoding(raw_basis, raw_sg)
     _dump_variant(out, "untransformed", raw_sg, raw_basis, raw_table, window.members)
     summary["untransformed"] = {
         "rows": raw_sg.size,
@@ -346,7 +350,23 @@ def _parse_windows(raw: str) -> list[int | None]:
     out = []
     for item in raw.split(","):
         item = item.strip()
-        out.append(None if item in ("inf", "all") else int(item))
+        if item in ("inf", "all"):
+            out.append(None)
+            continue
+        try:
+            out.append(int(item))
+        except ValueError:
+            raise ConfigError(f"--windows takes integers, inf or all, got {item!r}") from None
+    return out
+
+
+def _parse_edge_modules(raw: str) -> list[bool]:
+    out = []
+    for item in raw.split(","):
+        item = item.strip()
+        if item not in ("on", "off"):
+            raise ConfigError(f"--edge-modules takes on or off, got {item!r}")
+        out.append(item == "on")
     return out
 
 
@@ -358,7 +378,7 @@ def cmd_ablate(args) -> int:
     train_range, val_range, test_range = _split_ranges(cfg, g)
     base = _train_config(cfg | {name: _TRAIN_FIELDS[name][1] for name in _CELL_FIELDS})
     encodings = [_encoding_kind(e.strip()) for e in cfg["encodings"].split(",")]
-    edge_flags = [e.strip() == "on" for e in cfg["edge_modules"].split(",")]
+    edge_flags = _parse_edge_modules(cfg["edge_modules"])
     poolings = [p.strip() for p in cfg["poolings"].split(",")]
     windows = _parse_windows(cfg["windows"])
     n_seeds = cfg["seeds"]

@@ -53,6 +53,10 @@ class Snapshot:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (E, 2) integer array, in no particular order."""
+        return np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+
     def isolation_mask(self) -> np.ndarray:
         """Boolean vector, true where the node has no incident edge here."""
         return self.degree == 0

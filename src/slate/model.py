@@ -27,7 +27,7 @@ from .spectral import (
     smallest_eigenpairs,
     smallest_eigenpairs_raw,  # noqa: F401  (bench/spans.py traces it under this name)
 )
-from .supra import SupraConfig, build_block_diagonal, build_supra
+from .supra import build_block_diagonal, build_supra, symmetric_adjacency
 
 
 class EncodingKind(str, Enum):
@@ -165,36 +165,35 @@ class SlateModel:
         sliced = nn.slice_axis1(seq, length - last, length)
         return nn.mean_axis(sliced, 1) if pool.kind == "mean" else nn.max_axis(sliced, 1)
 
-    def _pair_logits(self, zt: Tensor, pairs: np.ndarray, pool: PoolingSpec) -> Tensor:
+    def _pair_logits(self, zt: Tensor, pairs: np.ndarray) -> Tensor:
         num_members = zt.shape[0] // self.num_nodes
         seq_u = nn.gather_rows(zt, self._sequence_indices(pairs[:, 0], num_members))
         seq_v = nn.gather_rows(zt, self._sequence_indices(pairs[:, 1], num_members))
         if self.use_edge_module:
             att = nn.multi_head_attention(seq_u, seq_v, self.nhead_xa, self.xa)
             e = nn.layer_norm(nn.add(seq_u, att), self.xa_ln_g, self.xa_ln_b)
-            pooled = self._pool(e, pool)
+            pooled = self._pool(e, self.pooling)
         else:
-            pooled = nn.concat_last([self._pool(seq_u, pool), self._pool(seq_v, pool)])
+            pooled = nn.concat_last([self._pool(seq_u, self.pooling), self._pool(seq_v, self.pooling)])
         h = nn.relu(nn.linear(pooled, self.head_w1, self.head_b1))
         return nn.reshape(nn.linear(h, self.head_w2, self.head_b2), (len(pairs),))
 
-    def edge_logits(self, zt: Tensor, pairs: np.ndarray, pool: PoolingSpec | None = None) -> Tensor:
+    def edge_logits(self, zt: Tensor, pairs: np.ndarray) -> Tensor:
         """Link logits for an array of ordered (u, v) pairs, shape (B,)."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("edge scoring needs two distinct nodes")
         if pairs.min(initial=0) < 0 or pairs.max(initial=0) >= self.num_nodes:
             raise ValueError(f"node id outside [0,{self.num_nodes})")
-        pool = self.pooling if pool is None else pool
-        logits = self._pair_logits(zt, pairs, pool)
+        logits = self._pair_logits(zt, pairs)
         if self.symmetrize:
-            flipped = self._pair_logits(zt, pairs[:, ::-1], pool)
+            flipped = self._pair_logits(zt, pairs[:, ::-1])
             logits = nn.mul_scalar(nn.add(logits, flipped), 0.5)
         return logits
 
-    def edge_probability(self, zt: Tensor, u: int, v: int, pool: PoolingSpec | None = None):
+    def edge_probability(self, zt: Tensor, u: int, v: int):
         """Logit tensor and link probability for one node pair."""
-        logits = self.edge_logits(zt, np.array([[u, v]]), pool)
+        logits = self.edge_logits(zt, np.array([[u, v]]))
         logit = nn.reshape(logits, ())
         return logit, float(nn._sigmoid(logit.data))
 
@@ -218,18 +217,13 @@ def _snapshot_lap_pe(snap: Snapshot, k: int) -> tuple[np.ndarray, bool]:
     Laplacian, computed on its non-isolated subgraph; zero rows for isolated
     nodes, zero-padded columns when the subgraph is too small."""
     out = np.zeros((snap.num_nodes, k))
-    alive = np.flatnonzero(~snap.isolation_mask())
-    m = len(alive)
+    alive = ~snap.isolation_mask()
+    m = int(alive.sum())
     if m == 0:
         return out, True
-    pos = {int(u): i for i, u in enumerate(alive)}
-    a = np.zeros((m, m))
-    for u, v in snap.edges:
-        a[pos[u], pos[v]] = a[pos[v], pos[u]] = 1.0
-    deg = a.sum(axis=1)
-    dinv = 1.0 / np.sqrt(deg)  # alive nodes have degree >= 1
-    lap = np.eye(m) - a * dinv[:, None] * dinv[None, :]
-    vals, vecs = np.linalg.eigh(lap)
+    position = np.cumsum(alive) - 1  # row of each alive node in the subgraph
+    lap = normalized_laplacian(symmetric_adjacency(m, position[snap.edge_array()]))
+    vals, vecs = np.linalg.eigh(lap.matrix.toarray())
     avail = min(k, m - 1)
     if avail > 0:
         out[alive, :avail] = canonicalize_signs(vecs[:, 1:1 + avail])
@@ -263,26 +257,23 @@ def compute_window_encoding(
     kind: EncodingKind,
     k: int,
     d_time: int = 8,
-    supra_cfg: SupraConfig = SupraConfig(),
     eig_method: str = "auto",
-    eig_tol: float = 1e-8,
-    eig_seed: int = 0,
+    vn_fallback_link: bool = False,
 ):
-    """Per-(node, window position) features for one window, by encoding kind."""
+    """Per-(node, window position) features for one window, by encoding kind.
+    d_time is read by the LapPE baseline only, vn_fallback_link by the
+    transformed graph only (see build_supra)."""
     snapshots = [g.snapshots[t] for t in window.members]
     kind = EncodingKind(kind)
     if kind == EncodingKind.SLATE:
-        masks = [s.isolation_mask() for s in snapshots]
-        sg = build_supra(snapshots, masks, supra_cfg, window)
-        lap = normalized_laplacian(sg)
-        basis = smallest_eigenpairs(lap, k, method=eig_method, tol=eig_tol, seed=eig_seed)
-        return raw_encoding(basis, sg, g.num_nodes)
+        sg = build_supra(snapshots, window, vn_fallback_link=vn_fallback_link)
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), k, method=eig_method)
+        return raw_encoding(basis, sg)
     if kind == EncodingKind.SLATE_NO_TRANSFORM:
-        sg = build_block_diagonal(snapshots, window)
-        lap = normalized_laplacian(sg, allow_isolated=True)
-        basis = smallest_eigenpairs(lap, k, method=eig_method, tol=eig_tol, seed=eig_seed,
-                                    discard_trivial=False)
-        return raw_encoding(basis, sg, g.num_nodes)
+        sg = build_block_diagonal(snapshots)
+        lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
+        basis = smallest_eigenpairs(lap, k, method=eig_method, discard_trivial=False)
+        return raw_encoding(basis, sg)
     if kind == EncodingKind.LAPPE_TIME:
         return lap_pe_time_encoding(snapshots, k, d_time, window.members)
     raise ConfigError(f"unknown encoding kind {kind!r}")

@@ -5,7 +5,9 @@ The symmetric-normalized Laplacian of the multi-layer graph has its spectrum in
 the next one is strictly positive. The k smallest non-trivial eigenpairs give
 every (node, time) slot a feature vector: its k eigenvector entries followed by
 the k eigenvalues, with a zero projection half for slots that were isolated and
-therefore have no row in the graph.
+therefore have no row in the graph (rows[tau, u] == -1). normalized_laplacian
+takes a bare adjacency, so the per-snapshot LapPE baseline builds its Laplacian
+here too.
 """
 
 from __future__ import annotations
@@ -52,20 +54,21 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
-def normalized_laplacian(sg: SupraGraph, allow_isolated: bool = False) -> NormalizedSupraLaplacian:
-    """Symmetric-normalized Laplacian of the multi-layer adjacency.
+def normalized_laplacian(adjacency: sp.csr_array, allow_isolated: bool = False) -> NormalizedSupraLaplacian:
+    """Symmetric-normalized Laplacian of an undirected adjacency: a multi-layer
+    graph's, or one snapshot's non-isolated subgraph for the LapPE baseline.
 
     Zero-degree rows are an upstream construction bug for the transformed
     graph; allow_isolated admits them (raw block-diagonal variant) with the
     convention that their diagonal entry is 0, so each isolated row contributes
     one zero eigenvalue, like any other connected component.
     """
-    deg = sg.degrees()
+    deg = np.asarray(adjacency.sum(axis=1)).ravel()
     if not allow_isolated and np.any(deg == 0):
         raise SlateError("zero-degree row in a transformed multi-layer graph (construction bug)")
     with np.errstate(divide="ignore"):
         dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    a = sg.adjacency.tocoo()
+    a = adjacency.tocoo()
     off = sp.coo_array(
         (-a.data * dinv_sqrt[a.row] * dinv_sqrt[a.col], (a.row, a.col)), shape=a.shape
     )
@@ -225,19 +228,18 @@ class RawEncodingTable:
         return self.matrix.reshape(-1, 2 * self.k)
 
 
-def raw_encoding(basis: SpectralBasis, sg: SupraGraph, n: int) -> RawEncodingTable:
-    """Scatter eigenvector rows into the (node, window position) table.
+def raw_encoding(basis: SpectralBasis, sg: SupraGraph) -> RawEncodingTable:
+    """Scatter eigenvector rows into the (node, window position) table through
+    sg.rows.
 
     Slots without a row (isolated at that time) keep a zero projection half;
     virtual rows never contribute. The eigenvalue half is shared by all slots.
     """
-    if n != sg.num_nodes:
-        raise ConfigError(f"node count {n} disagrees with graph ({sg.num_nodes})")
     k = basis.k
-    table = np.zeros((sg.num_members, n, 2 * k))
+    table = np.zeros((sg.num_members, sg.num_nodes, 2 * k))
     table[:, :, k:] = basis.eigenvalues
-    for (u, tau), row in sg.index_map.items():
-        table[tau, u, :k] = basis.eigenvectors[row]
+    has_row = sg.rows >= 0
+    table[has_row, :k] = basis.eigenvectors[sg.rows[has_row]]
     return RawEncodingTable(matrix=table, k=k)
 
 

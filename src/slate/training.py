@@ -22,7 +22,6 @@ from .errors import ConfigError, SlateError, TrainingError
 from .metrics import auc, average_precision
 from .model import EncodingKind, PoolingSpec, SlateModel, compute_window_encoding
 from .sampling import NegativeSampler, sample_pairs
-from .supra import SupraConfig
 
 
 _OPTIMIZER_FIELDS = ("lr", "weight_decay", "epochs", "patience")
@@ -116,7 +115,7 @@ class _EncodingCache:
         if t_end not in self._tables:
             self._tables[t_end] = compute_window_encoding(
                 self.g, window, m.encoding, m.k, d_time=m.d_time,
-                supra_cfg=SupraConfig(vn_fallback_link=m.vn_fallback_link),
+                vn_fallback_link=m.vn_fallback_link,
             )
         return window, self._tables[t_end]
 

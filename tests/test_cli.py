@@ -169,6 +169,16 @@ class TestTrainEval:
                    "--encoding", "bogus", *TINY_FLAGS) == 2
         assert "error: unknown encoding 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta, message", [
+        ("name = toy\nnum_snapshots = 3\n", "missing key 'num_nodes'"),
+        ("name = toy\nnum_nodes = five\nnum_snapshots = 3\n", "num_nodes = 'five' is not an integer"),
+    ], ids=["missing-key", "not-an-integer"])
+    def test_malformed_meta_rejected(self, tmp_path, capsys, meta, message):
+        stem = write_toy_t3(tmp_path)
+        (tmp_path / "toy.meta").write_text(meta)
+        assert run("train", "--data", stem, "--out", tmp_path / "run", *TINY_FLAGS) == 2
+        assert f"error: {tmp_path / 'toy.meta'}: {message}" in capsys.readouterr().err
+
     def test_eval_line_reports_fallbacks(self, tmp_path, capsys):
         # nodes 10 and 11 first appear in the last (test) snapshot: u=10 of the
         # positive (10, 11) has an empty history pool; every other u has one
@@ -238,6 +248,15 @@ class TestAblate:
         assert run("ablate", "--data", tiny_dataset, "--out", tmp_path / "abl",
                    "--encodings", "slate,bogus", *ABLATE_FLAGS) == 2
         assert "error: unknown encoding 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--windows", "2,x", "--windows takes integers, inf or all, got 'x'"),
+        ("--edge-modules", "true", "--edge-modules takes on or off, got 'true'"),
+    ], ids=["windows", "edge-modules"])
+    def test_bad_grid_list_rejected(self, tmp_path, tiny_dataset, capsys, flag, value, message):
+        assert run("ablate", "--data", tiny_dataset, "--out", tmp_path / "abl",
+                   flag, value, *ABLATE_FLAGS) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_multi_seed_mean_std(self, tmp_path, tiny_dataset):
         out = tmp_path / "abl"

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from slate import nn
-from slate.dtdg import Snapshot, generate_erdos_renyi, window_of
+from slate.dtdg import Snapshot, generate_erdos_renyi, generate_sbm_churn, window_of
 from slate.model import (
     BaselineEncodingTable,
     EncodingKind,
     PoolingSpec,
     SlateModel,
+    _snapshot_lap_pe,
     compute_window_encoding,
     lap_pe_time_encoding,
     time_encoding,
 )
 from slate.nn import Tape, Tensor
+from slate.spectral import canonicalize_signs
 
 
 def toy_setup(seed=0, n=6, w=2, k=2, d=16, **kwargs):
@@ -112,10 +114,12 @@ class TestEdgeScoring:
             model.edge_probability(zt, 2, 2)
 
     def test_window_of_one_makes_pooling_identity(self):
-        g, model, window, table = toy_setup(w=1)
-        zt = model.encode(model.token_sequence(table, len(window)))
-        lm = model.edge_logits(zt, [[0, 1]], PoolingSpec("mean", 3)).data
-        lx = model.edge_logits(zt, [[0, 1]], PoolingSpec("max", 1)).data
+        g, mean_model, window, table = toy_setup(w=1, pooling=PoolingSpec("mean", 3))
+        _, max_model, _, _ = toy_setup(w=1, pooling=PoolingSpec("max", 1))
+        zm = mean_model.encode(mean_model.token_sequence(table, len(window)))
+        zx = max_model.encode(max_model.token_sequence(table, len(window)))
+        lm = mean_model.edge_logits(zm, [[0, 1]]).data
+        lx = max_model.edge_logits(zx, [[0, 1]]).data
         assert np.allclose(lm, lx)
 
     def test_mean_pool_of_equal_rows_is_that_row(self):
@@ -232,6 +236,33 @@ class TestBaselineEncoding:
         with pytest.warns(UserWarning, match="zero-padded"):
             table = lap_pe_time_encoding(snaps, k=3, d_time=2, members=[0])
         assert np.allclose(table.matrix[0, :, 1:3], 0.0)
+
+    def test_snapshot_lap_pe_matches_reference(self):
+        # the dense Laplacian of the non-isolated subgraph, built edge by edge
+        def reference(snap, k):
+            out = np.zeros((snap.num_nodes, k))
+            alive = np.flatnonzero(~snap.isolation_mask())
+            m = len(alive)
+            if m == 0:
+                return out, True
+            pos = {int(u): i for i, u in enumerate(alive)}
+            a = np.zeros((m, m))
+            for u, v in snap.edges:
+                a[pos[u], pos[v]] = a[pos[v], pos[u]] = 1.0
+            dinv = 1.0 / np.sqrt(a.sum(axis=1))
+            vals, vecs = np.linalg.eigh(np.eye(m) - a * dinv[:, None] * dinv[None, :])
+            avail = min(k, m - 1)
+            if avail > 0:
+                out[alive, :avail] = canonicalize_signs(vecs[:, 1:1 + avail])
+            return out, avail < k
+
+        g = generate_sbm_churn(40, 2, 0.2, 0.02, 6, seed=1)
+        snaps = [*g.snapshots, Snapshot.from_edges(5, [(0, 1)]), Snapshot.from_edges(4, [])]
+        for snap in snaps:
+            for k in (1, 4):
+                pe, short = _snapshot_lap_pe(snap, k)
+                expected, expected_short = reference(snap, k)
+                assert np.array_equal(pe, expected) and short == expected_short
 
     def test_lap_pe_model_end_to_end(self):
         g = generate_erdos_renyi(6, 0.6, 4, seed=3)

@@ -16,7 +16,15 @@ from slate.spectral import (
 )
 from slate.supra import build_block_diagonal, build_supra
 
-from test_supra import build, supra_from_dense, toy_t3
+from test_supra import (
+    REFERENCE_WINDOWS,
+    build,
+    index_pairs,
+    reference_block_diagonal,
+    reference_supra,
+    supra_from_dense,
+    toy_t3,
+)
 
 
 def dense_oracle_eigenvalues(a):
@@ -39,7 +47,7 @@ def path_graph(n):
 class TestNormalizedLaplacian:
     def test_single_edge_spectrum(self):
         sg = supra_from_dense([[0, 1], [1, 0]])
-        lap = normalized_laplacian(sg)
+        lap = normalized_laplacian(sg.adjacency)
         assert np.allclose(lap.matrix.toarray(), [[1, -1], [-1, 1]])
         basis = smallest_eigenpairs(lap, 1)
         assert abs(basis.lambda0) < 1e-12
@@ -49,20 +57,20 @@ class TestNormalizedLaplacian:
         a = 1.0 - np.eye(3)
         expected = dense_oracle_eigenvalues(a)  # {0, 1.5, 1.5}
         assert np.allclose(expected, [0.0, 1.5, 1.5])
-        basis = smallest_eigenpairs(normalized_laplacian(supra_from_dense(a)), 2)
+        basis = smallest_eigenpairs(normalized_laplacian(supra_from_dense(a).adjacency), 2)
         assert np.allclose(basis.eigenvalues, [1.5, 1.5], atol=1e-12)
 
     def test_p4_fiedler_value(self):
         # dense oracle on the 4x4 normalized Laplacian of the path 0-1-2-3
         a = path_graph(4)
         oracle = np.sort(dense_oracle_eigenvalues(a))
-        basis = smallest_eigenpairs(normalized_laplacian(supra_from_dense(a)), 1)
+        basis = smallest_eigenpairs(normalized_laplacian(supra_from_dense(a).adjacency), 1)
         assert abs(basis.eigenvalues[0] - oracle[1]) < 1e-12
         assert abs(oracle[1] - 0.5) < 1e-12  # frozen oracle value
 
     def test_toy_t3_spectrum_in_range(self):
         sg = build(toy_t3())
-        lap = normalized_laplacian(sg)
+        lap = normalized_laplacian(sg.adjacency)
         dense = lap.matrix.toarray()
         assert np.allclose(dense, dense.T)
         vals = np.linalg.eigvalsh(dense)
@@ -72,8 +80,8 @@ class TestNormalizedLaplacian:
     def test_zero_degree_row_rejected_unless_allowed(self):
         sg = supra_from_dense(np.zeros((2, 2)))
         with pytest.raises(Exception):
-            normalized_laplacian(sg)
-        lap = normalized_laplacian(sg, allow_isolated=True)
+            normalized_laplacian(sg.adjacency)
+        lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
         assert np.allclose(lap.matrix.toarray(), 0.0)
 
 
@@ -93,14 +101,14 @@ class TestEigensolvers:
     def test_connected_graphs_have_single_zero(self):
         for seed in range(10):
             sg, _ = random_supra(seed + 1)
-            basis = smallest_eigenpairs(normalized_laplacian(sg), 3)
+            basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), 3)
             assert abs(basis.lambda0) < 1e-8
             assert basis.eigenvalues[0] > 1e-8
 
     def test_eigen_residuals_dense(self):
         for seed in (1, 2, 3):
             sg, _ = random_supra(seed)
-            lap = normalized_laplacian(sg)
+            lap = normalized_laplacian(sg.adjacency)
             basis = smallest_eigenpairs(lap, 4, method="dense")
             res = lap.matrix @ basis.eigenvectors - basis.eigenvectors * basis.eigenvalues
             assert np.linalg.norm(res, axis=0).max() < 1e-8 * lap.size
@@ -111,7 +119,7 @@ class TestEigensolvers:
         while checked < 10:
             seed += 1
             sg, _ = random_supra(seed, n_lo=10, n_hi=30, w_hi=4)
-            lap = normalized_laplacian(sg)
+            lap = normalized_laplacian(sg.adjacency)
             if lap.size < 14:
                 continue
             dense = smallest_eigenpairs(lap, 12, method="dense")
@@ -131,7 +139,7 @@ class TestEigensolvers:
 
     def test_lanczos_seed_invariance_after_sign_canon(self):
         sg, _ = random_supra(5, n_lo=12, n_hi=20, w_hi=3)
-        lap = normalized_laplacian(sg)
+        lap = normalized_laplacian(sg.adjacency)
         full = np.linalg.eigvalsh(lap.matrix.toarray())
         gaps = np.diff(full[:6])
         if np.any(gaps < 1e-6):
@@ -152,12 +160,12 @@ class TestEigensolvers:
     def test_k_too_large_rejected(self):
         sg = supra_from_dense([[0, 1], [1, 0]])
         with pytest.raises(ConfigError):
-            smallest_eigenpairs(normalized_laplacian(sg), 2)
+            smallest_eigenpairs(normalized_laplacian(sg.adjacency), 2)
 
     @pytest.mark.parametrize("failure", ["no-convergence", "arpack-error"])
     def test_arpack_errors_become_convergence_errors(self, monkeypatch, failure):
         sg, _ = random_supra(3)
-        lap = normalized_laplacian(sg)
+        lap = normalized_laplacian(sg.adjacency)
         partial = np.full((lap.size, 1), 1.0 / np.sqrt(lap.size))
         error = (ArpackNoConvergence("no convergence", np.array([0.5]), partial)
                  if failure == "no-convergence" else ArpackError(-9999))
@@ -179,8 +187,8 @@ class TestRawEncoding:
     def test_isolated_rows_are_zero_projection(self):
         snaps = toy_t3()
         sg = build(snaps)
-        basis = smallest_eigenpairs(normalized_laplacian(sg), 2)
-        table = raw_encoding(basis, sg, 5)
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), 2)
+        table = raw_encoding(basis, sg)
         # node 3 is isolated at window position 1 but alive at position 0
         assert np.allclose(table.vector(3, 1)[:2], 0.0)
         assert not np.allclose(table.vector(3, 0)[:2], 0.0)
@@ -188,23 +196,23 @@ class TestRawEncoding:
 
     def test_eigenvalue_half_is_global(self):
         sg = build(toy_t3())
-        basis = smallest_eigenpairs(normalized_laplacian(sg), 3)
-        table = raw_encoding(basis, sg, 5)
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), 3)
+        table = raw_encoding(basis, sg)
         assert np.allclose(table.matrix[:, :, 3:], basis.eigenvalues)
 
     def test_isolated_slots_share_one_vector(self):
         sg = build(toy_t3())
-        basis = smallest_eigenpairs(normalized_laplacian(sg), 2)
-        table = raw_encoding(basis, sg, 5)
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), 2)
+        table = raw_encoding(basis, sg)
         # nodes 2, 3, 4 are all isolated at window position 1
         assert np.array_equal(table.vector(2, 1), table.vector(3, 1))
         assert np.array_equal(table.vector(3, 1), table.vector(4, 1))
 
     def test_projection_matches_index_map_lookup(self):
         sg = build(toy_t3())
-        basis = smallest_eigenpairs(normalized_laplacian(sg), 2)
-        table = raw_encoding(basis, sg, 5)
-        for (u, tau), row in sg.index_map.items():
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), 2)
+        table = raw_encoding(basis, sg)
+        for (u, tau), row in index_pairs(sg).items():
             assert np.array_equal(table.vector(u, tau)[:2], basis.eigenvectors[row])
 
     def test_node_relabeling_equivariance(self):
@@ -218,13 +226,13 @@ class TestRawEncoding:
                 continue
             snaps = list(g.snapshots)
             sg = build(snaps)
-            lap = normalized_laplacian(sg)
+            lap = normalized_laplacian(sg.adjacency)
             full = np.linalg.eigvalsh(lap.matrix.toarray())
             if np.any(np.diff(full[:4]) < 1e-6):
                 continue  # avoid degenerate spectra; rotation inside an
                 # eigenspace would make single vectors incomparable
             basis = smallest_eigenpairs(lap, 2)
-            table = raw_encoding(basis, sg, 8)
+            table = raw_encoding(basis, sg)
 
             perm = rng.permutation(8)
             from slate.dtdg import Snapshot
@@ -233,8 +241,8 @@ class TestRawEncoding:
                 for s in snaps
             ]
             psg = build(psnaps)
-            pbasis = smallest_eigenpairs(normalized_laplacian(psg), 2)
-            ptable = raw_encoding(pbasis, psg, 8)
+            pbasis = smallest_eigenpairs(normalized_laplacian(psg.adjacency), 2)
+            ptable = raw_encoding(pbasis, psg)
 
             assert np.allclose(pbasis.eigenvalues, basis.eigenvalues, atol=1e-9)
             for tau in range(3):
@@ -244,13 +252,30 @@ class TestRawEncoding:
                     )
             checked += 1
 
+    @pytest.mark.parametrize("name", REFERENCE_WINDOWS)
+    def test_table_matches_reference_scatter(self, name):
+        # the table written out slot by slot from the reference (u, tau) -> row map
+        snaps = REFERENCE_WINDOWS[name]
+        n, k = snaps[0].num_nodes, 2
+        for sg, (index_map, _, _), allow_isolated in (
+            (build(snaps, vn_fallback_link=True), reference_supra(snaps, True), False),
+            (build_block_diagonal(snaps), reference_block_diagonal(snaps), True),
+        ):
+            basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency, allow_isolated), k,
+                                        discard_trivial=not allow_isolated)
+            expected = np.zeros((len(snaps), n, 2 * k))
+            expected[:, :, k:] = basis.eigenvalues
+            for (u, tau), row in index_map.items():
+                expected[tau, u, :k] = basis.eigenvectors[row]
+            assert np.array_equal(raw_encoding(basis, sg).matrix, expected)
+
     def test_fiedler_layer_separation_on_dense_toy(self):
         g = generate_erdos_renyi(10, 0.6, 3, seed=7)
         snaps = list(g.snapshots)
         assert all(not s.isolation_mask().any() for s in snaps)
         sg = build(snaps)
-        basis = smallest_eigenpairs(normalized_laplacian(sg), 1)
-        table = raw_encoding(basis, sg, 10)
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), 1)
+        table = raw_encoding(basis, sg)
         layer_means = [table.matrix[tau, :, 0].mean() for tau in range(3)]
         assert max(layer_means) - min(layer_means) > 1e-3
 
@@ -259,7 +284,7 @@ class TestRawVariant:
     def test_zero_multiplicity_counts_components(self):
         snaps = toy_t3()
         sg = build_block_diagonal(snaps)
-        lap = normalized_laplacian(sg, allow_isolated=True)
+        lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
         vals = np.linalg.eigvalsh(lap.matrix.toarray())
         assert (np.abs(vals) < 1e-10).sum() == 8  # one zero per component
         basis = smallest_eigenpairs(lap, 4, discard_trivial=False)
@@ -269,10 +294,10 @@ class TestRawVariant:
     def test_every_slot_has_a_row(self):
         snaps = toy_t3()
         sg = build_block_diagonal(snaps)
-        basis = smallest_eigenpairs(normalized_laplacian(sg, allow_isolated=True), 3,
+        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency, allow_isolated=True), 3,
                                     discard_trivial=False)
-        table = raw_encoding(basis, sg, 5)
-        for (u, tau), row in sg.index_map.items():
+        table = raw_encoding(basis, sg)
+        for (u, tau), row in index_pairs(sg).items():
             assert np.array_equal(table.vector(u, tau)[:3], basis.eigenvectors[row])
 
 
@@ -292,7 +317,7 @@ class TestAboveDenseCutoff:
 
     def test_transformed_window(self, graph):
         snaps = [graph.snapshots[t] for t in window_of(graph, 2, 3).members]
-        lap = normalized_laplacian(build(snaps))
+        lap = normalized_laplacian(build(snaps).adjacency)
         auto = smallest_eigenpairs(lap, 8, method="auto")
         dense = smallest_eigenpairs(lap, 8, method="dense")
         self.check(lap, auto.eigenvalues, auto.eigenvectors, dense.eigenvalues)
@@ -307,7 +332,8 @@ class TestAboveDenseCutoff:
         g = graph if p is None else generate_erdos_renyi(n, p, 2, seed=4)
         window = window_of(g, 2 if p is None else 1, 2)
         lap = normalized_laplacian(
-            build_block_diagonal([g.snapshots[t] for t in window.members]), allow_isolated=True
+            build_block_diagonal([g.snapshots[t] for t in window.members]).adjacency,
+            allow_isolated=True,
         )
         assert lap.size == n * 2
         k = 8
@@ -324,7 +350,7 @@ class TestAboveDenseCutoff:
 class TestMethodSelection:
     def test_auto_matches_dense_on_small_input(self):
         sg, _ = random_supra(3)
-        lap = normalized_laplacian(sg)
+        lap = normalized_laplacian(sg.adjacency)
         auto = smallest_eigenpairs(lap, 3, method="auto")
         dense = smallest_eigenpairs(lap, 3, method="dense")
         assert np.array_equal(auto.eigenvalues, dense.eigenvalues)
@@ -333,4 +359,4 @@ class TestMethodSelection:
     def test_unknown_method_rejected(self):
         sg, _ = random_supra(3)
         with pytest.raises(ConfigError):
-            smallest_eigenpairs(normalized_laplacian(sg), 2, method="magic")
+            smallest_eigenpairs(normalized_laplacian(sg.adjacency), 2, method="magic")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from slate.dtdg import Snapshot, Window, generate_erdos_renyi, window_of
+from slate.dtdg import Snapshot, generate_erdos_renyi, window_of
 from slate.errors import ConnectivityError, DegenerateWindowError
 from slate.supra import (
-    SupraConfig,
     SupraGraph,
     build_block_diagonal,
     build_supra,
@@ -28,8 +29,14 @@ def toy_t3():
     ]
 
 
-def build(snaps, cfg=SupraConfig()):
-    return build_supra(snaps, [s.isolation_mask() for s in snaps], cfg)
+def build(snaps, vn_fallback_link=False):
+    return build_supra(snaps, vn_fallback_link=vn_fallback_link)
+
+
+def index_pairs(sg):
+    """{(node, tau): row} for every slot that has a row."""
+    taus, nodes = np.nonzero(sg.rows >= 0)
+    return {(int(u), int(tau)): int(sg.rows[tau, u]) for tau, u in zip(taus, nodes)}
 
 
 def supra_from_dense(a):
@@ -39,11 +46,9 @@ def supra_from_dense(a):
     return SupraGraph(
         size=n,
         adjacency=sp.csr_array(a),
-        index_map={(i, 0): i for i in range(n)},
+        rows=np.arange(n)[None, :],
         virtual_rows=(),
         masks=(np.zeros(n, dtype=bool),),
-        window=Window(end=0, size=1, members=(0,)),
-        num_nodes=n,
     )
 
 
@@ -60,7 +65,7 @@ class TestBuildSupra:
         # hand-derived row layout: member-major, nodes ascending, VN last
         rows = {(u, 0): u for u in range(5)} | {(0, 1): 6, (1, 1): 7} | {
             (u, 2): 9 + u for u in range(4)}
-        assert sg.index_map == rows
+        assert index_pairs(sg) == rows
         assert sg.virtual_rows == (5, 8, 13)
         expected = {
             (0, 1), (1, 2), (3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5),  # layer 0
@@ -83,7 +88,7 @@ class TestBuildSupra:
 
     def test_empty_window_rejected(self):
         with pytest.raises(DegenerateWindowError):
-            build_supra([], [])
+            build_supra([])
 
     def test_all_empty_snapshots_rejected(self):
         snaps = [snap(3, []), snap(3, [])]
@@ -103,18 +108,13 @@ class TestBuildSupra:
 
     def test_gap_bridged_by_fallback(self):
         snaps = [snap(4, [(0, 1)]), snap(4, [(2, 3)])]
-        sg = build(snaps, SupraConfig(vn_fallback_link=True))
+        sg = build(snaps, vn_fallback_link=True)
         assert verify_connected(sg)
         vn_edges = [
             (i, j) for i, j in sg.coordinate_list()
             if i in sg.virtual_rows and j in sg.virtual_rows
         ]
         assert vn_edges == [(sg.virtual_rows[0], sg.virtual_rows[1])]
-
-    def test_mask_mismatch_rejected(self):
-        snaps = [snap(3, [(0, 1)])]
-        with pytest.raises(ValueError):
-            build_supra(snaps, [np.array([True, True, True])])
 
 
 class TestVerifyConnected:
@@ -164,18 +164,19 @@ class TestInvariants:
         for g, w in random_windowed_cases(100):
             window = window_of(g, w - 1, w)
             snaps = [g.snapshots[t] for t in window.members]
-            sg = build_supra(snaps, [s.isolation_mask() for s in snaps], window=window)
+            sg = build_supra(snaps, window=window)
             assert verify_connected(sg)
             # exact row-count formula
             expected = sum((~s.isolation_mask()).sum() + 1 for s in snaps)
             assert sg.size == expected
-            # index_map is a bijection onto the non-virtual rows
-            rows = sorted(sg.index_map.values())
+            # rows is a bijection onto the non-virtual rows
+            index_map = index_pairs(sg)
+            rows = sorted(index_map.values())
             assert len(set(rows)) == len(rows)
             assert set(rows) | set(sg.virtual_rows) == set(range(sg.size))
             vn = set(sg.virtual_rows)
-            row_time = {row: tau for (u, tau), row in sg.index_map.items()}
-            row_node = {row: u for (u, tau), row in sg.index_map.items()}
+            row_time = {row: tau for (u, tau), row in index_map.items()}
+            row_node = {row: u for (u, tau), row in index_map.items()}
             for i, j in sg.coordinate_list():
                 assert not (i in vn and j in vn)  # never links two virtual rows
                 if i not in vn and j not in vn and row_time[i] != row_time[j]:
@@ -198,3 +199,109 @@ class TestBlockDiagonal:
         assert count_components(sg.adjacency) == 2 + 4 + 2
         assert count_components(sg.adjacency) == connected_components(
             sg.adjacency, directed=False)[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference construction: a (node, tau) -> row dict and per-row edge loops,
+# written out here with no slate.supra call.
+# ---------------------------------------------------------------------------
+
+
+def reference_csr(size, edges):
+    i = [a for a, _ in edges]
+    j = [b for _, b in edges]
+    adj = sp.coo_array((np.ones(2 * len(edges)), (i + j, j + i)), shape=(size, size)).tocsr()
+    adj.data[:] = 1.0
+    return adj
+
+
+def reference_supra(snaps, vn_fallback_link=False):
+    """({(u, tau): row}, virtual rows, adjacency) of the transformed graph, or
+    None where a gap is left unbridged."""
+    n = snaps[0].num_nodes
+    index_map, virtual_rows, row = {}, [], 0
+    for tau, s in enumerate(snaps):
+        for u in range(n):
+            if s.degree[u] > 0:
+                index_map[(u, tau)] = row
+                row += 1
+        virtual_rows.append(row)
+        row += 1
+    edges = []
+    for tau, s in enumerate(snaps):
+        edges += [(index_map[(u, tau)], index_map[(v, tau)]) for u, v in sorted(s.edges)]
+        edges += [(index_map[(u, tau)], virtual_rows[tau]) for u in range(n) if (u, tau) in index_map]
+    for tau in range(len(snaps) - 1):
+        shared = [u for u in range(n) if (u, tau) in index_map and (u, tau + 1) in index_map]
+        if not shared:
+            if not vn_fallback_link:
+                return None
+            edges.append((virtual_rows[tau], virtual_rows[tau + 1]))
+        edges += [(index_map[(u, tau)], index_map[(u, tau + 1)]) for u in shared]
+    return index_map, tuple(virtual_rows), reference_csr(row, edges)
+
+
+def reference_block_diagonal(snaps):
+    n = snaps[0].num_nodes
+    index_map = {(u, tau): tau * n + u for tau in range(len(snaps)) for u in range(n)}
+    edges = [(index_map[(u, tau)], index_map[(v, tau)])
+             for tau, s in enumerate(snaps) for u, v in sorted(s.edges)]
+    return index_map, (), reference_csr(n * len(snaps), edges)
+
+
+def assert_matches_reference(sg, reference):
+    index_map, virtual_rows, adjacency = reference
+    expected_rows = np.full(sg.rows.shape, -1)
+    for (u, tau), row in index_map.items():
+        expected_rows[tau, u] = row
+    assert np.array_equal(sg.rows, expected_rows)
+    assert sg.virtual_rows == virtual_rows
+    assert sg.size == adjacency.shape[0]
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sg.adjacency, attr), getattr(adjacency, attr)), attr
+
+
+def assert_builds_match_reference(snaps):
+    reference = reference_supra(snaps)
+    if reference is None:
+        with pytest.raises(ConnectivityError):
+            build(snaps)
+    else:
+        assert_matches_reference(build(snaps), reference)
+    assert_matches_reference(build(snaps, vn_fallback_link=True), reference_supra(snaps, True))
+    assert_matches_reference(build_block_diagonal(snaps), reference_block_diagonal(snaps))
+
+
+REFERENCE_WINDOWS = {
+    "one member": [snap(4, [(0, 1), (1, 2), (2, 3), (0, 3)])],
+    "isolated nodes": toy_t3(),
+    "bridged gap": [snap(6, [(0, 1), (1, 2)]), snap(6, [(3, 4), (4, 5)]), snap(6, [(4, 5)])],
+    "every node at every step": [snap(3, [(0, 1), (1, 2)]), snap(3, [(0, 2), (1, 2)])],
+}
+
+
+@st.composite
+def small_windows(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edge_sets = draw(st.lists(st.lists(st.sampled_from(pairs), min_size=1, unique=True),
+                              min_size=1, max_size=4))
+    return [snap(n, edges) for edges in edge_sets]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", REFERENCE_WINDOWS)
+    def test_fixed_windows(self, name):
+        assert_builds_match_reference(REFERENCE_WINDOWS[name])
+
+    @given(snaps=small_windows())
+    @settings(max_examples=80, deadline=None)
+    def test_random_small_windows(self, snaps):
+        assert_builds_match_reference(snaps)
+
+    def test_generated_windows(self):
+        g = generate_erdos_renyi(30, 0.04, 6, seed=11)
+        for t in range(g.num_snapshots):
+            snaps = [g.snapshots[m] for m in window_of(g, t, 3).members]
+            if all(s.num_edges for s in snaps):
+                assert_builds_match_reference(snaps)
