@@ -354,9 +354,12 @@ def _parse_windows(raw: str) -> list[int | None]:
             out.append(None)
             continue
         try:
-            out.append(int(item))
+            w = int(item)
         except ValueError:
             raise ConfigError(f"--windows takes integers, inf or all, got {item!r}") from None
+        if w < 1:
+            raise ConfigError("window size must be >= 1")
+        out.append(w)
     return out
 
 

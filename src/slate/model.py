@@ -4,8 +4,11 @@ Tokens pair a learned per-node embedding with a learned projection of the
 spectral features; a single fully-connected encoder layer mixes all (node,
 time) tokens of the window; a cross-attention block between the two temporal
 sequences of a node pair, time-pooled and fed to a small MLP, yields the link
-logit. A naive per-snapshot Laplacian + sinusoidal-time encoding is provided as
-an ablation baseline, as is the raw disconnected-stacking encoding.
+logit. The block projects the encoder's token table once per call and gathers
+each pair's query, key and value rows from the projections, so pairs that share
+a node share its projected rows. A naive per-snapshot Laplacian +
+sinusoidal-time encoding is provided as an ablation baseline, as is the raw
+disconnected-stacking encoding.
 """
 
 from __future__ import annotations
@@ -167,13 +170,15 @@ class SlateModel:
 
     def _pair_logits(self, zt: Tensor, pairs: np.ndarray) -> Tensor:
         num_members = zt.shape[0] // self.num_nodes
-        seq_u = nn.gather_rows(zt, self._sequence_indices(pairs[:, 0], num_members))
-        seq_v = nn.gather_rows(zt, self._sequence_indices(pairs[:, 1], num_members))
+        rows_u = self._sequence_indices(pairs[:, 0], num_members)
+        rows_v = self._sequence_indices(pairs[:, 1], num_members)
+        seq_u = nn.gather_rows(zt, rows_u)
         if self.use_edge_module:
-            att = nn.multi_head_attention(seq_u, seq_v, self.nhead_xa, self.xa)
+            att = nn.multi_head_attention(zt, zt, self.nhead_xa, self.xa, rows=(rows_u, rows_v))
             e = nn.layer_norm(nn.add(seq_u, att), self.xa_ln_g, self.xa_ln_b)
             pooled = self._pool(e, self.pooling)
         else:
+            seq_v = nn.gather_rows(zt, rows_v)
             pooled = nn.concat_last([self._pool(seq_u, self.pooling), self._pool(seq_v, self.pooling)])
         h = nn.relu(nn.linear(pooled, self.head_w1, self.head_b1))
         return nn.reshape(nn.linear(h, self.head_w2, self.head_b2), (len(pairs),))

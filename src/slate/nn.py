@@ -4,9 +4,12 @@ Just enough machinery for one encoder layer, a cross-attention block, and a
 logit-space binary cross-entropy: float64 row-major tensors, a tape recording
 backward closures in execution order, and SGD. Attention runs its heads as one
 array axis through batched matmuls; `permute` is the one primitive that moves
-axes. A forward/backward pass with its tape belongs to one thread: the active
-tape is per thread, so no-grad forwards over frozen parameters are safe to run
-concurrently with training.
+axes. `linear` folds leading axes into one 2-D GEMM. Attention can take row
+indices into 2-D token tables: it then projects each table once and gathers
+the sequences from the projections, whose gradients `gather_rows` scatters
+back with one sparse matrix product. A forward/backward pass with its tape
+belongs to one thread: the active tape is per thread, so no-grad forwards over
+frozen parameters are safe to run concurrently with training.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError, TrainingError
 
@@ -125,21 +129,25 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias, the bias broadcast over all leading axes."""
+    """x @ weight + bias, the bias broadcast over all leading axes.
+
+    The leading axes are folded into one, so forward and backward each run
+    plain 2-D GEMMs rather than numpy's batched matmul."""
     if weight.data.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear: x{x.shape} @ W{weight.shape} + b{bias.shape}")
-    out = Tensor(x.data @ weight.data + bias.data)
+    x2 = x.data.reshape(-1, weight.shape[0])
+    out = Tensor((x2 @ weight.data + bias.data).reshape(*x.shape[:-1], weight.shape[1]))
 
     def backward():
         if out.grad is None:
             return
-        g = out.grad
+        g = out.grad.reshape(-1, weight.shape[1])
         if x.requires_grad:
-            x.ensure_grad()[...] += g @ weight.data.T
+            x.ensure_grad()[...] += (g @ weight.data.T).reshape(x.shape)
         if weight.requires_grad:
-            weight.ensure_grad()[...] += x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            weight.ensure_grad()[...] += x2.T @ g
         if bias.requires_grad:
-            bias.ensure_grad()[...] += g.reshape(-1, g.shape[-1]).sum(axis=0)
+            bias.ensure_grad()[...] += g.sum(axis=0)
 
     return _track(out, (x, weight, bias), backward)
 
@@ -216,7 +224,10 @@ def slice_axis1(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of a 2D tensor; idx may have any shape."""
+    """Select rows of a 2D tensor; idx may have any shape.
+
+    The backward pass scatters the output gradient back with one sparse
+    (rows, idx.size) 0/1 matrix product, summing repeated rows."""
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(a.data[idx])
 
@@ -224,7 +235,11 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         if out.grad is None:
             return
         if a.requires_grad:
-            np.add.at(a.ensure_grad(), idx, out.grad)
+            flat = idx.ravel()
+            order = np.argsort(flat, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=a.shape[0]))))
+            scatter = sp.csr_matrix((np.ones(flat.size), order, indptr), shape=(a.shape[0], flat.size))
+            a.ensure_grad()[...] += scatter @ out.grad.reshape(flat.size, a.shape[1])
 
     return _track(out, (a,), backward)
 
@@ -466,6 +481,7 @@ def multi_head_attention(
     heads: int,
     params: AttentionParams,
     return_weights: bool = False,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Scaled dot-product attention, no masking, optional leading batch axis.
 
@@ -474,26 +490,44 @@ def multi_head_attention(
     dh) and every head's scores come from one batched matmul. Per-head scale
     is 1/sqrt(dh), applied to the query projection. With return_weights, also
     returns the detached attention probabilities, shape (..., heads, m, n).
+
+    With rows = (q_rows, kv_rows), q and kv are 2-D token tables and the
+    sequences are gathered from them: q_rows (..., m) and kv_rows (..., n)
+    index table rows and share their leading axes. The projections run once
+    on each table and the rows are gathered from the projected tables, which
+    equals projecting the gathered rows, since a linear map commutes with a
+    row gather; the output has shape (..., m, dim).
     """
     dim = q.shape[-1]
     if dim % heads != 0:
         raise ConfigError(f"model dim {dim} not divisible by heads {heads}")
-    if kv.shape[-1] != dim or kv.shape[:-2] != q.shape[:-2]:
-        raise ShapeError(f"attention: q{q.shape} vs kv{kv.shape}")
+    q_shape, kv_shape = q.shape, kv.shape
+    q_rows = kv_rows = None
+    if rows is not None:
+        q_rows, kv_rows = (np.asarray(r, dtype=np.intp) for r in rows)
+        if (q.data.ndim != 2 or kv.data.ndim != 2 or min(q_rows.ndim, kv_rows.ndim) < 1
+                or q_rows.shape[:-1] != kv_rows.shape[:-1]):
+            raise ShapeError(f"attention rows: q{q.shape}[{q_rows.shape}] vs "
+                             f"kv{kv.shape}[{kv_rows.shape}]")
+        q_shape, kv_shape = (*q_rows.shape, dim), (*kv_rows.shape, kv.shape[-1])
+    if kv_shape[-1] != dim or kv_shape[:-2] != q_shape[:-2]:
+        raise ShapeError(f"attention: q{q_shape} vs kv{kv_shape}")
     dh = dim // heads
-    nb = q.data.ndim - 2
+    nb = len(q_shape) - 2
     lead = tuple(range(nb))
     to_heads = (*lead, nb + 1, nb, nb + 2)  # (..., m, heads, dh) <-> (..., heads, m, dh)
     to_heads_t = (*lead, nb + 1, nb + 2, nb)  # (..., n, heads, dh) -> (..., heads, dh, n)
 
-    def split(x: Tensor, axes) -> Tensor:
+    def split(x: Tensor, idx, axes) -> Tensor:
+        if idx is not None:
+            x = gather_rows(x, idx)
         return permute(reshape(x, (*x.shape[:-1], heads, dh)), axes)
 
-    Q = split(mul_scalar(linear(q, params.wq, params.bq), 1.0 / np.sqrt(dh)), to_heads)
-    K = split(linear(kv, params.wk, params.bk), to_heads_t)
-    V = split(linear(kv, params.wv, params.bv), to_heads)
+    Q = split(mul_scalar(linear(q, params.wq, params.bq), 1.0 / np.sqrt(dh)), q_rows, to_heads)
+    K = split(linear(kv, params.wk, params.bk), kv_rows, to_heads_t)
+    V = split(linear(kv, params.wv, params.bv), kv_rows, to_heads)
     att = softmax_last(matmul(Q, K))
-    merged = reshape(permute(matmul(att, V), to_heads), q.shape)
+    merged = reshape(permute(matmul(att, V), to_heads), q_shape)
     out = linear(merged, params.wo, params.bo)
     if return_weights:
         return out, att.data.copy()

@@ -277,6 +277,7 @@ def _order_block_ceiling(g, test_targets, eval_seed=0):
     return auc(score, y)
 
 
+@pytest.mark.slow
 def test_c6_learning_signal():
     """Faithful run of the stated criterion: default-scale model, SGD with the
     published learning-rate sweep, <= 200 epochs, random negatives, on the
@@ -333,6 +334,7 @@ def _c7_run(g, splits, encoding, use_edge, seed):
                     seed=seed).aggregate_auc
 
 
+@pytest.mark.slow
 def test_c7_ablation_directions():
     """Over 5 seeds on an isolation-heavy block model: transformed encoding beats
     the raw disconnected stacking, and the edge module does not hurt."""

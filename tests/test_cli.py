@@ -251,12 +251,15 @@ class TestAblate:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--windows", "2,x", "--windows takes integers, inf or all, got 'x'"),
+        ("--windows", "2,0", "window size must be >= 1"),
+        ("--windows", "2,-1", "window size must be >= 1"),
         ("--edge-modules", "true", "--edge-modules takes on or off, got 'true'"),
-    ], ids=["windows", "edge-modules"])
+    ], ids=["windows", "windows-zero", "windows-negative", "edge-modules"])
     def test_bad_grid_list_rejected(self, tmp_path, tiny_dataset, capsys, flag, value, message):
-        assert run("ablate", "--data", tiny_dataset, "--out", tmp_path / "abl",
-                   flag, value, *ABLATE_FLAGS) == 2
+        out = tmp_path / "abl"
+        assert run("ablate", "--data", tiny_dataset, "--out", out, flag, value, *ABLATE_FLAGS) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()  # rejected before any cell ran
 
     def test_multi_seed_mean_std(self, tmp_path, tiny_dataset):
         out = tmp_path / "abl"

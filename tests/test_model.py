@@ -171,6 +171,86 @@ class TestEdgeScoring:
         assert logits.shape == (2,)
 
 
+def _gather_then_project_logits(model, zt, pairs):
+    """The edge module written the direct way: gather both nodes' sequences
+    from zt, then cross-attend from the u sequence to the v sequence."""
+    members = zt.shape[0] // model.num_nodes
+
+    def rows(nodes):
+        return np.arange(members)[None, :] * model.num_nodes + nodes[:, None]
+
+    def logits(pairs):
+        seq_u = nn.gather_rows(zt, rows(pairs[:, 0]))
+        seq_v = nn.gather_rows(zt, rows(pairs[:, 1]))
+        att = nn.multi_head_attention(seq_u, seq_v, model.nhead_xa, model.xa)
+        e = nn.layer_norm(nn.add(seq_u, att), model.xa_ln_g, model.xa_ln_b)
+        h = nn.relu(nn.linear(model._pool(e, model.pooling), model.head_w1, model.head_b1))
+        return nn.reshape(nn.linear(h, model.head_w2, model.head_b2), (len(pairs),))
+
+    out = logits(pairs)
+    if model.symmetrize:
+        out = nn.mul_scalar(nn.add(out, logits(pairs[:, ::-1])), 0.5)
+    return out
+
+
+class TestGatheredProjection:
+    @pytest.mark.parametrize("w, symmetrize, pairs", [
+        (2, False, [[0, 1], [0, 1], [1, 0], [3, 0], [0, 3]]),
+        (2, False, [[4, 1]]),
+        (1, False, [[2, 5], [5, 2], [2, 3]]),
+        (3, True, [[1, 4], [4, 1], [0, 2]]),
+    ], ids=["repeated-nodes", "one-pair", "one-member-window", "symmetrize"])
+    def test_matches_gather_then_project(self, w, symmetrize, pairs):
+        from test_nn import assert_rel_close, weighted_sum
+
+        _, model, _, _ = toy_setup(w=w, symmetrize=symmetrize)
+        rng = np.random.default_rng(w)
+        for name in model.param_groups()["xa"]:
+            model.store[name].data[...] += 0.1 * rng.standard_normal(model.store[name].shape)
+        pairs = np.array(pairs)
+        zt = Tensor(rng.standard_normal((6 * w, 16)), requires_grad=True)
+        g_out = rng.standard_normal(len(pairs))
+        tensors = {"zt": zt, **{n: model.store[n] for n in model.param_groups()["xa"]}}
+
+        def run(forward):
+            for t in tensors.values():
+                t.grad = None
+            with Tape() as tape:
+                logits = forward(zt, pairs)
+                tape.backward(weighted_sum(logits, g_out))
+            return logits.data, {n: t.grad.copy() for n, t in tensors.items()}
+
+        logits, grads = run(model.edge_logits)
+        ref_logits, ref_grads = run(lambda z, p: _gather_then_project_logits(model, z, p))
+        assert_rel_close(logits, ref_logits)
+        for name, ref in ref_grads.items():
+            # the softmax cancels a key bias, so its gradient is rounding noise
+            scale = np.abs(ref_grads["zt"]).max() if name == "xa.bk" else None
+            try:
+                assert_rel_close(grads[name], ref, scale=scale)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}: {exc}") from exc
+
+    def test_projections_run_on_the_token_table(self, monkeypatch):
+        # wq, wk and wv project the (N*w, d) table once, not the (B, w, d)
+        # gathered pair sequences
+        _, model, window, table = toy_setup(w=2)
+        zt = model.encode(model.token_sequence(table, len(window)))
+        names = {id(p): n for n, p in model.store.parameters().items()}
+        seen = {}
+        linear = nn.linear
+
+        def recording_linear(x, weight, bias):
+            seen.setdefault(names.get(id(weight)), []).append(x.shape)
+            return linear(x, weight, bias)
+
+        monkeypatch.setattr(nn, "linear", recording_linear)
+        model.edge_logits(zt, [[0, 1], [2, 3], [0, 4], [5, 1]])
+        for name in ("xa.wq", "xa.wk", "xa.wv"):
+            assert seen[name] == [(6 * 2, 16)], name
+        assert seen["xa.wo"] == [(4, 2, 16)]
+
+
 class TestEndToEndGradients:
     def test_every_parameter_group(self):
         from test_nn import fd_gradient

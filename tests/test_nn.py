@@ -40,6 +40,21 @@ def assert_grads_match(build_loss, params, tol=1e-4):
         assert rel.max() < tol, f"rel err {rel.max():.2e}"
 
 
+def assert_rel_close(actual, expected, tol=1e-12, scale=None):
+    """Agreement to tol relative to scale, by default the largest entry of the
+    reference."""
+    if scale is None:
+        scale = max(np.abs(expected).max(initial=0.0), 1e-300)
+    err = np.abs(np.asarray(actual) - expected).max(initial=0.0) / scale
+    assert err <= tol, f"rel err {err:.2e}"
+
+
+def weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
+    """Scalar sum(out * weights): its gradient w.r.t. out is weights."""
+    flat = nn.reshape(out, (1, out.data.size))
+    return nn.reshape(nn.matmul(flat, Tensor(weights.reshape(-1, 1))), ())
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
@@ -64,6 +79,53 @@ class TestLinear:
             return nn.mean_all(nn.linear(x, w, b))
 
         assert_grads_match(build, [x, w, b], tol=1e-6)
+
+    @pytest.mark.parametrize("lead", [(5,), (3, 4), (2, 3, 2)], ids=["2d", "3d", "4d"])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_folded_matches_per_slice_reference(self, lead, x_grad):
+        rng = np.random.default_rng(len(lead))
+        x = Tensor(rng.standard_normal((*lead, 6)), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        g_out = rng.standard_normal((*lead, 4))
+        with Tape() as tape:
+            out = nn.linear(x, w, b)
+            tape.backward(weighted_sum(out, g_out))
+        # reference: one 2-D product per row of the leading axes
+        rows_x = x.data.reshape(-1, 6)
+        rows_g = g_out.reshape(-1, 4)
+        ref_out = np.stack([r @ w.data + b.data for r in rows_x]).reshape(*lead, 4)
+        ref_dx = np.stack([g @ w.data.T for g in rows_g]).reshape(x.shape)
+        ref_dw = sum(np.outer(r, g) for r, g in zip(rows_x, rows_g))
+        ref_db = rows_g.sum(axis=0)
+        assert out.shape == (*lead, 4)
+        assert_rel_close(out.data, ref_out)
+        assert_rel_close(w.grad, ref_dw)
+        assert_rel_close(b.grad, ref_db)
+        if x_grad:
+            assert_rel_close(x.grad, ref_dx)
+        else:
+            assert x.grad is None
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("idx_shape", [(40,), (8, 5), (2, 4, 5)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-grad"])
+    def test_backward_matches_add_at(self, idx_shape, held):
+        rng = np.random.default_rng(len(idx_shape))
+        a = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        idx = rng.choice([0, 0, 0, 2, 5], size=idx_shape)  # heavy repeats; rows 1, 3, 4 unused
+        start = rng.standard_normal(a.shape) if held else np.zeros(a.shape)
+        a.grad = start.copy() if held else None
+        g_out = rng.standard_normal((*idx_shape, 3))
+        with Tape() as tape:
+            out = nn.gather_rows(a, idx)
+            tape.backward(weighted_sum(out, g_out))
+        ref = start.copy()
+        np.add.at(ref, idx, g_out)
+        assert np.array_equal(out.data, a.data[idx])
+        assert_rel_close(a.grad, ref)
+        assert np.array_equal(a.grad[[1, 3, 4]], start[[1, 3, 4]])
 
 
 class TestAttention:
@@ -168,6 +230,68 @@ class TestAttention:
         store, params = self._params(4)
         with pytest.raises(ShapeError):
             nn.multi_head_attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))), 2, params)
+
+    @pytest.mark.parametrize("q_rows, kv_rows", [
+        ([[0, 4, 4], [2, 2, 2], [0, 4, 4]], [[1, 1, 3], [5, 0, 5], [1, 1, 3]]),  # repeats
+        ([[3, 1]], [[2, 2]]),  # one sequence
+        ([[0], [5]], [[5], [0]]),  # one-member sequences
+    ], ids=["repeated", "one-pair", "one-member"])
+    def test_row_indexed_matches_gather_then_project(self, q_rows, kv_rows):
+        rng = np.random.default_rng(len(q_rows))
+        store, params = self._params(8, seed=9)
+        for p in (params.bq, params.bk, params.bv, params.bo):
+            p.data[...] = rng.standard_normal(p.shape)
+        table = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
+        q_rows, kv_rows = np.array(q_rows), np.array(kv_rows)
+        g_out = rng.standard_normal((*q_rows.shape, 8))
+        tensors = [table, *vars(params).values()]
+
+        def run(indexed):
+            for t in tensors:
+                t.grad = None
+            with Tape() as tape:
+                if indexed:
+                    out, weights = nn.multi_head_attention(table, table, 2, params,
+                                                           return_weights=True,
+                                                           rows=(q_rows, kv_rows))
+                else:  # the reference: project the gathered sequences
+                    out, weights = nn.multi_head_attention(nn.gather_rows(table, q_rows),
+                                                           nn.gather_rows(table, kv_rows), 2,
+                                                           params, return_weights=True)
+                tape.backward(weighted_sum(out, g_out))
+            return out.data, weights, [t.grad.copy() for t in tensors]
+
+        out, weights, grads = run(indexed=True)
+        ref_out, ref_weights, ref_grads = run(indexed=False)
+        assert out.shape == ref_out.shape == (*q_rows.shape, 8)
+        assert weights.shape == (len(q_rows), 2, q_rows.shape[1], kv_rows.shape[1])
+        assert_rel_close(out, ref_out)
+        assert_rel_close(weights, ref_weights)
+        for name, grad, ref in zip(["table", *vars(params)], grads, ref_grads):
+            # the softmax cancels a key bias, so its gradient is rounding noise
+            scale = np.abs(ref_grads[0]).max() if name == "bk" else None
+            try:
+                assert_rel_close(grad, ref, scale=scale)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}: {exc}") from exc
+
+    @pytest.mark.parametrize("q_rows, kv_rows", [
+        (np.zeros((2, 3), int), np.zeros((3, 3), int)),  # different sequence counts
+        (np.zeros((2, 3), int), np.zeros(3, int)),  # different rank
+        (np.array(0), np.array(1)),  # no sequence axis
+    ], ids=["count", "rank", "scalar"])
+    def test_row_indices_must_share_leading_axes(self, q_rows, kv_rows):
+        store, params = self._params(4)
+        table = Tensor(np.zeros((5, 4)))
+        with pytest.raises(ShapeError):
+            nn.multi_head_attention(table, table, 2, params, rows=(q_rows, kv_rows))
+
+    def test_row_indices_need_2d_tables(self):
+        store, params = self._params(4)
+        batched = Tensor(np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError):
+            nn.multi_head_attention(batched, batched, 2, params,
+                                    rows=(np.zeros((2, 3), int), np.zeros((2, 3), int)))
 
 
 class TestEncoderLayer:
@@ -295,6 +419,10 @@ class TestElementwiseOps:
         b3 = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
         idx = np.array([[0, 2], [1, 1]])
         a4 = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)  # batch x heads
+        attn = nn.init_attention(ParameterStore(13), "attn", 4)
+        for p in (attn.bq, attn.bk, attn.bv):
+            p.data[...] = rng.standard_normal(4)
+        kv_idx = np.array([[2, 0, 2], [1, 1, 0]])
         b4 = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
 
         cases = {
@@ -309,6 +437,8 @@ class TestElementwiseOps:
             "concat": (lambda: nn.mean_all(nn.relu(nn.concat_last([a2, b2]))), [a2, b2]),
             "slice_axis1": (lambda: nn.mean_all(nn.relu(nn.slice_axis1(a3, 1, 3))), [a3]),
             "gather": (lambda: nn.mean_all(nn.relu(nn.gather_rows(a2, idx))), [a2]),
+            "gather_attention": (lambda: nn.mean_all(nn.multi_head_attention(
+                a2, a2, 2, attn, rows=(idx, kv_idx))), [a2, attn.wq, attn.bq, attn.wk, attn.wv]),
             "repeat": (lambda: nn.mean_all(nn.relu(nn.repeat_rows(a2, 3))), [a2]),
             "relu": (lambda: nn.mean_all(nn.relu(a2)), [a2]),
             # read out through a matmul; the raw mean of a softmax is constant
