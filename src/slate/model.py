@@ -24,6 +24,7 @@ from .dtdg import DynamicGraph, Snapshot, Window
 from .errors import ConfigError
 from .nn import ParameterStore, Tensor
 from .spectral import (
+    _dense_eigenpairs,
     canonicalize_signs,
     normalized_laplacian,
     raw_encoding,
@@ -228,7 +229,7 @@ def _snapshot_lap_pe(snap: Snapshot, k: int) -> tuple[np.ndarray, bool]:
         return out, True
     position = np.cumsum(alive) - 1  # row of each alive node in the subgraph
     lap = normalized_laplacian(symmetric_adjacency(m, position[snap.edge_array()]))
-    vals, vecs = np.linalg.eigh(lap.matrix.toarray())
+    _, vecs = _dense_eigenpairs(lap, min(k + 1, m))
     avail = min(k, m - 1)
     if avail > 0:
         out[alive, :avail] = canonicalize_signs(vecs[:, 1:1 + avail])

@@ -3,11 +3,14 @@
 Just enough machinery for one encoder layer, a cross-attention block, and a
 logit-space binary cross-entropy: float64 row-major tensors, a tape recording
 backward closures in execution order, and SGD. Attention runs its heads as one
-array axis through batched matmuls; `permute` is the one primitive that moves
-axes. `linear` folds leading axes into one 2-D GEMM. Attention can take row
-indices into 2-D token tables: it then projects each table once and gathers
-the sequences from the projections, whose gradients `gather_rows` scatters
-back with one sparse matrix product. A forward/backward pass with its tape
+array axis through one `attention` primitive: exact softmax(q kᵀ) v computed a
+block of query rows at a time, whose backward pass recomputes each block's
+probabilities from the kept row max and row sum, so no step holds the
+(heads, n, n) scores. `permute` is the one primitive that moves axes.
+`linear` folds leading axes into one 2-D GEMM. Attention can take row indices
+into 2-D token tables: it then projects each table once and gathers the
+sequences from the projections, whose gradients `gather_rows` scatters back
+with one sparse matrix product. A forward/backward pass with its tape
 belongs to one thread: the active tape is per thread, so no-grad forwards over
 frozen parameters are safe to run concurrently with training.
 """
@@ -15,6 +18,7 @@ frozen parameters are safe to run concurrently with training.
 from __future__ import annotations
 
 import contextvars
+import math
 import struct
 from dataclasses import dataclass
 
@@ -278,20 +282,95 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax_last(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+# Score entries one attention block may hold: its query rows are chosen so
+# that (leading axes) x rows x keys stays within this many float64 values.
+ATTENTION_BLOCK = 1 << 20
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add a freshly computed gradient to t.grad; with no gradient yet, g
+    becomes t.grad, which skips a zeros_like and a pass over the array."""
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
+    """softmax(q kᵀ) v over the last two axes: q (..., m, dh), k (..., n, dh),
+    v (..., n, dv), equal leading axes; no scaling and no masking.
+
+    Query rows are taken in blocks of at most ATTENTION_BLOCK score entries.
+    A block holds whole rows against every key, so each row's softmax is exact
+    within its block. Only the output and each row's max and sum are kept: the
+    backward pass recomputes every block's probabilities p, bit for bit, and
+    forms dV = pᵀ dO, dS = p (dO vᵀ - D), dQ = dS k and dK = dSᵀ q, where
+    D = rowsum(dO O). No (..., m, n) array outlives a block. With
+    return_weights, also returns the detached probabilities (..., m, n),
+    filled block by block: for small inputs only.
+    """
+    if (q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+            or k.shape[-2] != v.shape[-2] or q.shape[-1] != k.shape[-1]):
+        raise ShapeError(f"attention: q{q.shape}, k{k.shape}, v{v.shape}")
+    lead, m, n = q.shape[:-2], q.shape[-2], k.shape[-2]
+    rows = max(1, ATTENTION_BLOCK // max(1, math.prod(lead) * n))
+    blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
+    kt = np.swapaxes(k.data, -1, -2)
+    row_max = np.empty((*lead, m, 1))
+    row_sum = np.empty((*lead, m, 1))
+    out = Tensor(np.empty((*lead, m, v.shape[-1])))
+    weights = np.empty((*lead, m, n)) if return_weights else None
+
+    def probabilities(b: slice) -> np.ndarray:
+        p = np.matmul(q.data[..., b, :], kt)
+        p -= row_max[..., b, :]
+        np.exp(p, out=p)
+        p /= row_sum[..., b, :]
+        return p
+
+    for b in blocks:
+        s = np.matmul(q.data[..., b, :], kt)
+        np.max(s, axis=-1, keepdims=True, out=row_max[..., b, :])
+        s -= row_max[..., b, :]
+        np.exp(s, out=s)
+        np.sum(s, axis=-1, keepdims=True, out=row_sum[..., b, :])
+        s /= row_sum[..., b, :]
+        out.data[..., b, :] = np.matmul(s, v.data)
+        if return_weights:
+            weights[..., b, :] = s
 
     def backward():
         if out.grad is None:
             return
-        if a.requires_grad:
-            g = out.grad
-            a.ensure_grad()[...] += y * (g - (g * y).sum(axis=-1, keepdims=True))
+        g = out.grad
+        need_scores = q.requires_grad or k.requires_grad
+        d = np.sum(g * out.data, axis=-1, keepdims=True) if need_scores else None
+        vt = np.swapaxes(v.data, -1, -2)
+        gq = np.empty(q.shape) if q.requires_grad else None
+        gk = gv = None
+        for b in blocks:
+            p = probabilities(b)
+            gb = g[..., b, :]
+            if v.requires_grad:
+                part = np.matmul(np.swapaxes(p, -1, -2), gb)
+                gv = part if gv is None else np.add(gv, part, out=gv)
+            if not need_scores:
+                continue
+            ds = np.matmul(gb, vt)
+            ds -= d[..., b, :]
+            ds *= p
+            if q.requires_grad:
+                gq[..., b, :] = np.matmul(ds, k.data)
+            if k.requires_grad:
+                part = np.matmul(np.swapaxes(ds, -1, -2), q.data[..., b, :])
+                gk = part if gk is None else np.add(gk, part, out=gk)
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            if grad is not None:
+                _accumulate(t, grad)
 
-    return _track(out, (a,), backward)
+    _track(out, (q, k, v), backward)
+    return (out, weights) if return_weights else out
 
 
 LAYER_NORM_EPS = 1e-12
@@ -487,9 +566,12 @@ def multi_head_attention(
 
     Queries come from q, keys and values from kv; self-attention is q is kv.
     The heads are one array axis: each projection is split to (..., heads, m,
-    dh) and every head's scores come from one batched matmul. Per-head scale
-    is 1/sqrt(dh), applied to the query projection. With return_weights, also
-    returns the detached attention probabilities, shape (..., heads, m, n).
+    dh) and one `attention` call runs every head, a block of query rows at a
+    time, recomputing each block's probabilities in the backward pass, so no
+    (..., heads, m, n) array is kept on the tape. Per-head scale is
+    1/sqrt(dh), applied to the query projection. With return_weights, also
+    returns the detached attention probabilities, shape (..., heads, m, n);
+    they take that full array, so ask for them on small inputs only.
 
     With rows = (q_rows, kv_rows), q and kv are 2-D token tables and the
     sequences are gathered from them: q_rows (..., m) and kv_rows (..., n)
@@ -514,24 +596,20 @@ def multi_head_attention(
         raise ShapeError(f"attention: q{q_shape} vs kv{kv_shape}")
     dh = dim // heads
     nb = len(q_shape) - 2
-    lead = tuple(range(nb))
-    to_heads = (*lead, nb + 1, nb, nb + 2)  # (..., m, heads, dh) <-> (..., heads, m, dh)
-    to_heads_t = (*lead, nb + 1, nb + 2, nb)  # (..., n, heads, dh) -> (..., heads, dh, n)
+    to_heads = (*range(nb), nb + 1, nb, nb + 2)  # (..., m, heads, dh) <-> (..., heads, m, dh)
 
-    def split(x: Tensor, idx, axes) -> Tensor:
+    def split(x: Tensor, idx) -> Tensor:
         if idx is not None:
             x = gather_rows(x, idx)
-        return permute(reshape(x, (*x.shape[:-1], heads, dh)), axes)
+        return permute(reshape(x, (*x.shape[:-1], heads, dh)), to_heads)
 
-    Q = split(mul_scalar(linear(q, params.wq, params.bq), 1.0 / np.sqrt(dh)), q_rows, to_heads)
-    K = split(linear(kv, params.wk, params.bk), kv_rows, to_heads_t)
-    V = split(linear(kv, params.wv, params.bv), kv_rows, to_heads)
-    att = softmax_last(matmul(Q, K))
-    merged = reshape(permute(matmul(att, V), to_heads), q_shape)
-    out = linear(merged, params.wo, params.bo)
-    if return_weights:
-        return out, att.data.copy()
-    return out
+    Q = split(mul_scalar(linear(q, params.wq, params.bq), 1.0 / np.sqrt(dh)), q_rows)
+    K = split(linear(kv, params.wk, params.bk), kv_rows)
+    V = split(linear(kv, params.wv, params.bv), kv_rows)
+    core = attention(Q, K, V, return_weights=return_weights)
+    core, weights = core if return_weights else (core, None)
+    out = linear(reshape(permute(core, to_heads), q_shape), params.wo, params.bo)
+    return (out, weights) if return_weights else out
 
 
 @dataclass

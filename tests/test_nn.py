@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,92 @@ class TestAttention:
                                     rows=(np.zeros((2, 3), int), np.zeros((2, 3), int)))
 
 
+class TestAttentionKernel:
+    @staticmethod
+    def _inputs(seed, lead=(3, 2), m=11, n=7, dh=4, dv=5):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.standard_normal((*lead, rows, cols)), requires_grad=True)
+                for rows, cols in ((m, dh), (n, dh), (n, dv))]
+
+    @staticmethod
+    def _run(q, k, v, g_out, return_weights=False):
+        for t in (q, k, v):
+            t.grad = None
+        with Tape() as tape:
+            out = nn.attention(q, k, v, return_weights=return_weights)
+            out, weights = out if return_weights else (out, None)
+            tape.backward(weighted_sum(out, g_out))
+        return out.data, weights, [t.grad.copy() for t in (q, k, v)]
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4, 10])
+    def test_blocked_matches_single_block(self, monkeypatch, block_rows):
+        q, k, v = self._inputs(block_rows)
+        g_out = np.random.default_rng(20).standard_normal((3, 2, 11, 5))
+        out, weights, grads = self._run(q, k, v, g_out, return_weights=True)
+        monkeypatch.setattr(nn, "ATTENTION_BLOCK", block_rows * 6 * 7)  # lead 3 x 2, 7 keys
+        b_out, b_weights, b_grads = self._run(q, k, v, g_out, return_weights=True)
+        assert_rel_close(b_out, out)
+        assert_rel_close(b_weights, weights)
+        for name, grad, ref in zip("qkv", b_grads, grads):
+            try:
+                assert_rel_close(grad, ref)
+            except AssertionError as exc:
+                raise AssertionError(f"d{name}: {exc}") from exc
+
+    @pytest.mark.parametrize("block", [None, 3 * 6 * 7], ids=["one-block", "blocked"])
+    def test_weights_are_the_dense_softmax(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(nn, "ATTENTION_BLOCK", block)
+        q, k, v = self._inputs(5)
+        out, weights = nn.attention(q, k, v, return_weights=True)
+        scores = q.data @ np.swapaxes(k.data, -1, -2)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        dense = e / e.sum(axis=-1, keepdims=True)
+        assert weights.shape == (3, 2, 11, 7)
+        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
+        assert_rel_close(weights, dense)
+        assert_rel_close(out.data, dense @ v.data)
+
+    def test_gradients_add_to_held_ones(self):
+        q, k, v = self._inputs(6)
+        g_out = np.random.default_rng(21).standard_normal((3, 2, 11, 5))
+        _, _, fresh = self._run(q, k, v, g_out)
+        held = [np.full(t.shape, 0.5) for t in (q, k, v)]
+        for t, start in zip((q, k, v), held):
+            t.grad = start.copy()
+        with Tape() as tape:
+            tape.backward(weighted_sum(nn.attention(q, k, v), g_out))
+        for t, start, grad in zip((q, k, v), held, fresh):
+            assert_rel_close(t.grad, start + grad)
+
+    def test_memory_stays_below_one_score_array(self):
+        # 2,000 tokens and 2 heads: one (2, 2000, 2000) float64 array is 61 MiB
+        rng = np.random.default_rng(22)
+        store = ParameterStore(0)
+        params = nn.init_attention(store, "attn", 8)
+        x = Tensor(rng.standard_normal((2000, 8)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                tape.backward(nn.mean_all(nn.multi_head_attention(x, x, 2, params)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and np.isfinite(x.grad).all()
+        assert peak < 2 * 2000 * 2000 * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (3, 5, 4), (3, 5, 4)),  # leading axes differ
+        ((3, 4), (2, 5, 4), (2, 5, 4)),  # rank differs
+        ((3, 4), (5, 4), (6, 4)),  # k and v have different n
+        ((3, 4), (5, 3), (5, 4)),  # q and k have different dh
+    ], ids=["lead", "rank", "n", "dh"])
+    def test_shape_errors(self, shapes):
+        q, k, v = (Tensor(np.zeros(shape)) for shape in shapes)
+        with pytest.raises(ShapeError, match="attention"):
+            nn.attention(q, k, v)
+
+
 class TestEncoderLayer:
     def test_residual_identity_at_zeroed_projections(self):
         store = ParameterStore(0)
@@ -410,7 +497,9 @@ class TestLayerNorm:
 
 
 class TestElementwiseOps:
-    def test_all_primitive_gradients(self):
+    def test_all_primitive_gradients(self, monkeypatch):
+        # 3 query rows per attention block at 2 leading rows and 4 keys
+        monkeypatch.setattr(nn, "ATTENTION_BLOCK", 24)
         rng = np.random.default_rng(12)
         a2 = Tensor(rng.standard_normal((3, 4)) + 0.3, requires_grad=True)
         b2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -424,6 +513,10 @@ class TestElementwiseOps:
             p.data[...] = rng.standard_normal(4)
         kv_idx = np.array([[2, 0, 2], [1, 1, 0]])
         b4 = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
+        q3 = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+        q7 = Tensor(rng.standard_normal((2, 7, 3)), requires_grad=True)
+        k4 = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        v4 = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
 
         cases = {
             "add": (lambda: nn.mean_all(nn.add(a2, b2)), [a2, b2]),
@@ -441,8 +534,8 @@ class TestElementwiseOps:
                 a2, a2, 2, attn, rows=(idx, kv_idx))), [a2, attn.wq, attn.bq, attn.wk, attn.wv]),
             "repeat": (lambda: nn.mean_all(nn.relu(nn.repeat_rows(a2, 3))), [a2]),
             "relu": (lambda: nn.mean_all(nn.relu(a2)), [a2]),
-            # read out through a matmul; the raw mean of a softmax is constant
-            "softmax": (lambda: nn.mean_all(nn.matmul(nn.softmax_last(a2), w)), [a2]),
+            "attention": (lambda: nn.mean_all(nn.attention(q3, k4, v4)), [q3, k4, v4]),
+            "attention_blocks": (lambda: nn.mean_all(nn.attention(q7, k4, v4)), [q7, k4, v4]),
             "mean_axis": (lambda: nn.mean_all(nn.relu(nn.mean_axis(a3, 1))), [a3]),
             "max_axis": (lambda: nn.mean_all(nn.max_axis(a3, 1)), [a3]),
         }
