@@ -194,8 +194,6 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def cmd_generate(args) -> int:
     cfg = _resolve(_GENERATE, args)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     kind = cfg["kind"]
     if kind == "er":
         g = generate_erdos_renyi(cfg["n"], cfg["p"], cfg["t"], cfg["seed"])
@@ -209,6 +207,8 @@ def cmd_generate(args) -> int:
         )
     else:
         raise SlateError(f"unknown dataset kind {kind!r}")
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     write_edge_list(g, out / f"{cfg['name']}.edges")
     write_metadata(g, out / f"{cfg['name']}.meta", name=cfg["name"])
     write_echo(cfg, out / "config.txt")

@@ -289,18 +289,19 @@ def _pairs(n: int) -> np.ndarray:
 
 
 def generate_erdos_renyi(n: int, p: float, t: int, seed: int) -> DynamicGraph:
-    """Each unordered pair wired independently with probability p, per snapshot."""
-    if n < 1 or t < 1:
-        raise ConfigError("need n >= 1 and t >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("p must be in [0,1]")
-    rng = np.random.default_rng(seed)
-    pairs = _pairs(n)
-    snaps = []
-    for _ in range(t):
-        keep = rng.random(len(pairs)) < p
-        snaps.append(Snapshot.from_edges(n, map(tuple, pairs[keep])))
-    return DynamicGraph(n, tuple(snaps))
+    """Each unordered pair wired independently with probability p, per snapshot:
+    the one-block block model."""
+    return generate_sbm(n, 1, p, p, t, seed)
+
+
+def _check_block_model(n: int, num_blocks: int, p_in: float, p_out: float, t: int) -> None:
+    if n < 1 or t < 1 or num_blocks < 1:
+        raise ConfigError("need n >= 1, t >= 1, num_blocks >= 1")
+    if n % num_blocks != 0:
+        raise ConfigError(f"n={n} not divisible by num_blocks={num_blocks}")
+    for p in (p_in, p_out):
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError("probabilities must be in [0,1]")
 
 
 def generate_sbm(
@@ -316,13 +317,7 @@ def generate_sbm(
     Blocks are contiguous id ranges of equal size; intra-block pairs are wired
     with p_in and inter-block pairs with p_out, independently per snapshot.
     """
-    if n < 1 or t < 1 or num_blocks < 1:
-        raise ConfigError("need n >= 1, t >= 1, num_blocks >= 1")
-    if n % num_blocks != 0:
-        raise ConfigError(f"n={n} not divisible by num_blocks={num_blocks}")
-    for p in (p_in, p_out):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("probabilities must be in [0,1]")
+    _check_block_model(n, num_blocks, p_in, p_out, t)
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
     pairs = _pairs(n)
@@ -358,17 +353,13 @@ def generate_sbm_churn(
     active carries over with that probability, and fresh draws are thinned by
     (1 - edge_persist), so recent pair structure predicts the next snapshot.
     """
+    _check_block_model(n, num_blocks, p_in, p_out, t)
     if not 0.0 < active_prob < 1.0:
         raise ConfigError("active_prob must be in (0,1)")
     for name, value in (("flip_prob", flip_prob), ("drift_prob", drift_prob),
                         ("edge_persist", edge_persist)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must be in [0,1]")
-    if n % num_blocks != 0:
-        raise ConfigError(f"n={n} not divisible by num_blocks={num_blocks}")
-    for p in (p_in, p_out):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("probabilities must be in [0,1]")
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
     pairs = _pairs(n)

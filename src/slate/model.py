@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .dtdg import DynamicGraph, Snapshot, Window
-from .errors import ConfigError
+from .errors import ConfigError, NodeBoundsError
 from .nn import ParameterStore, Tensor
 from .spectral import (
     _dense_eigenpairs,
@@ -154,11 +154,10 @@ class SlateModel:
         enc = nn.linear(raw_t, self.st_w, self.st_b)
         return nn.concat_last([emb, enc])
 
-    def encode(self, z: Tensor, return_weights: bool = False):
+    def encode(self, z: Tensor) -> Tensor:
         """One encoder layer of dense self-attention over all tokens of the
-        window. With return_weights, also returns that layer's detached
-        attention probabilities, shape (heads, tokens, tokens)."""
-        return nn.encoder_layer(z, self.encoder, return_weights=return_weights)
+        window."""
+        return nn.encoder_layer(z, self.encoder)
 
     def _sequence_indices(self, nodes: np.ndarray, num_members: int) -> np.ndarray:
         return np.arange(num_members)[None, :] * self.num_nodes + np.asarray(nodes)[:, None]
@@ -188,20 +187,14 @@ class SlateModel:
         """Link logits for an array of ordered (u, v) pairs, shape (B,)."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise ValueError("edge scoring needs two distinct nodes")
+            raise ConfigError("edge scoring needs two distinct nodes")
         if pairs.min(initial=0) < 0 or pairs.max(initial=0) >= self.num_nodes:
-            raise ValueError(f"node id outside [0,{self.num_nodes})")
+            raise NodeBoundsError(f"node id outside [0,{self.num_nodes})")
         logits = self._pair_logits(zt, pairs)
         if self.symmetrize:
             flipped = self._pair_logits(zt, pairs[:, ::-1])
             logits = nn.mul_scalar(nn.add(logits, flipped), 0.5)
         return logits
-
-    def edge_probability(self, zt: Tensor, u: int, v: int):
-        """Logit tensor and link probability for one node pair."""
-        logits = self.edge_logits(zt, np.array([[u, v]]))
-        logit = nn.reshape(logits, ())
-        return logit, float(nn._sigmoid(logit.data))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Just enough machinery for one encoder layer, a cross-attention block, and a
 logit-space binary cross-entropy: float64 row-major tensors, a tape recording
-backward closures in execution order, and SGD. Attention runs its heads as one
+each op's output with its backward closure in execution order, and SGD. Every
+closure hands each input's gradient to `_accumulate`, and the tape skips the
+closure of an output that received no gradient. Attention runs its heads as one
 array axis through one `attention` primitive: exact softmax(q kᵀ) v computed a
 block of query rows at a time, whose backward pass recomputes each block's
 probabilities from the kept row max and row sum, so no step holds the
@@ -42,11 +44,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -62,11 +59,17 @@ _ACTIVE_TAPE: contextvars.ContextVar[Tape | None] = contextvars.ContextVar("tape
 
 
 class Tape:
-    """Backward closures in execution order; backward replays them reversed.
+    """(output, backward closure) records in execution order; backward replays
+    them reversed.
 
     Single-threaded construction is a valid topological order, so reverse
-    execution order is a correct reverse-mode sweep. Gradients accumulate
-    additively into Tensor.grad.
+    execution order is a correct reverse-mode sweep: an output's gradient is
+    complete when its closure runs. backward seeds the loss gradient with ones
+    and runs a closure only if its output received a gradient, so a branch the
+    loss does not use leaves its inputs' .grad as None. Gradients accumulate
+    additively into Tensor.grad through `_accumulate`. An intermediate's .grad
+    may be handed on to an input and added into after its closure ran, so
+    after backward only a leaf's .grad is its gradient.
     """
 
     def __init__(self):
@@ -80,23 +83,34 @@ class Tape:
         _ACTIVE_TAPE.reset(self._token)
         return False
 
-    def record(self, fn) -> None:
-        self._records.append(fn)
-
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        loss.ensure_grad()[...] = 1.0
-        for fn in reversed(self._records):
-            fn()
+        loss.grad = np.ones_like(loss.data)
+        for out, fn in reversed(self._records):
+            if out.grad is not None:
+                fn()
 
 
 def _track(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = _ACTIVE_TAPE.get()
     if tape is not None and any(x.requires_grad for x in inputs):
         out.requires_grad = True
-        tape.record(backward_fn)
+        tape._records.append((out, backward_fn))
     return out
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add the gradient g to t.grad; with no gradient yet, g becomes t.grad.
+
+    g must have t's shape, and no other tensor whose gradient is still being
+    summed may hold it, since a later call adds into it in place. The output
+    whose closure computed g is complete, so g may be (a view of) its .grad.
+    """
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +124,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += out.grad
+            _accumulate(a, out.grad)
         if b.requires_grad:
-            b.ensure_grad()[...] += out.grad
+            _accumulate(b, out.grad.copy() if a.requires_grad else out.grad)
 
     return _track(out, (a, b), backward)
 
@@ -124,10 +136,8 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += c * out.grad
+            _accumulate(a, c * out.grad)
 
     return _track(out, (a,), backward)
 
@@ -143,36 +153,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = Tensor((x2 @ weight.data + bias.data).reshape(*x.shape[:-1], weight.shape[1]))
 
     def backward():
-        if out.grad is None:
-            return
         g = out.grad.reshape(-1, weight.shape[1])
         if x.requires_grad:
-            x.ensure_grad()[...] += (g @ weight.data.T).reshape(x.shape)
+            _accumulate(x, (g @ weight.data.T).reshape(x.shape))
         if weight.requires_grad:
-            weight.ensure_grad()[...] += x2.T @ g
+            _accumulate(weight, x2.T @ g)
         if bias.requires_grad:
-            bias.ensure_grad()[...] += g.sum(axis=0)
+            _accumulate(bias, g.sum(axis=0))
 
     return _track(out, (x, weight, bias), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched a @ b over equal leading axes: (..., m, k) @ (..., k, n)."""
-    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
-        if a.requires_grad:
-            a.ensure_grad()[...] += np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            b.ensure_grad()[...] += np.matmul(np.swapaxes(a.data, -1, -2), g)
-
-    return _track(out, (a, b), backward)
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -181,10 +170,8 @@ def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += np.transpose(out.grad, inverse)
+            _accumulate(a, np.transpose(out.grad, inverse))
 
     return _track(out, (a,), backward)
 
@@ -193,10 +180,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += out.grad.reshape(a.shape)
+            _accumulate(a, out.grad.reshape(a.shape))
 
     return _track(out, (a,), backward)
 
@@ -206,11 +191,9 @@ def concat_last(parts: list[Tensor]) -> Tensor:
     offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
 
     def backward():
-        if out.grad is None:
-            return
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p.ensure_grad()[...] += out.grad[..., lo:hi]
+                _accumulate(p, out.grad[..., lo:hi])
 
     return _track(out, tuple(parts), backward)
 
@@ -219,10 +202,10 @@ def slice_axis1(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[:, start:stop].copy())
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[:, start:stop] += out.grad
+            g = np.zeros(a.shape)
+            g[:, start:stop] = out.grad
+            _accumulate(a, g)
 
     return _track(out, (a,), backward)
 
@@ -236,14 +219,12 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor(a.data[idx])
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
             flat = idx.ravel()
             order = np.argsort(flat, kind="stable")
             indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=a.shape[0]))))
             scatter = sp.csr_matrix((np.ones(flat.size), order, indptr), shape=(a.shape[0], flat.size))
-            a.ensure_grad()[...] += scatter @ out.grad.reshape(flat.size, a.shape[1])
+            _accumulate(a, scatter @ out.grad.reshape(flat.size, a.shape[1]))
 
     return _track(out, (a,), backward)
 
@@ -253,10 +234,8 @@ def repeat_rows(a: Tensor, reps: int) -> Tensor:
     out = Tensor(np.tile(a.data, (reps, 1)))
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += out.grad.reshape(reps, *a.shape).sum(axis=0)
+            _accumulate(a, out.grad.reshape(reps, *a.shape).sum(axis=0))
 
     return _track(out, (a,), backward)
 
@@ -265,10 +244,8 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += out.grad * (a.data > 0.0)
+            _accumulate(a, out.grad * (a.data > 0.0))
 
     return _track(out, (a,), backward)
 
@@ -287,16 +264,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 ATTENTION_BLOCK = 1 << 20
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add a freshly computed gradient to t.grad; with no gradient yet, g
-    becomes t.grad, which skips a zeros_like and a pass over the array."""
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q kᵀ) v over the last two axes: q (..., m, dh), k (..., n, dh),
     v (..., n, dv), equal leading axes; no scaling and no masking.
 
@@ -305,9 +273,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
     within its block. Only the output and each row's max and sum are kept: the
     backward pass recomputes every block's probabilities p, bit for bit, and
     forms dV = pᵀ dO, dS = p (dO vᵀ - D), dQ = dS k and dK = dSᵀ q, where
-    D = rowsum(dO O). No (..., m, n) array outlives a block. With
-    return_weights, also returns the detached probabilities (..., m, n),
-    filled block by block: for small inputs only.
+    D = rowsum(dO O). No (..., m, n) array outlives a block.
     """
     if (q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
@@ -320,7 +286,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
     row_max = np.empty((*lead, m, 1))
     row_sum = np.empty((*lead, m, 1))
     out = Tensor(np.empty((*lead, m, v.shape[-1])))
-    weights = np.empty((*lead, m, n)) if return_weights else None
 
     def probabilities(b: slice) -> np.ndarray:
         p = np.matmul(q.data[..., b, :], kt)
@@ -337,12 +302,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
         np.sum(s, axis=-1, keepdims=True, out=row_sum[..., b, :])
         s /= row_sum[..., b, :]
         out.data[..., b, :] = np.matmul(s, v.data)
-        if return_weights:
-            weights[..., b, :] = s
 
     def backward():
-        if out.grad is None:
-            return
         g = out.grad
         need_scores = q.requires_grad or k.requires_grad
         d = np.sum(g * out.data, axis=-1, keepdims=True) if need_scores else None
@@ -369,8 +330,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
             if grad is not None:
                 _accumulate(t, grad)
 
-    _track(out, (q, k, v), backward)
-    return (out, weights) if return_weights else out
+    return _track(out, (q, k, v), backward)
 
 
 LAYER_NORM_EPS = 1e-12
@@ -388,20 +348,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     out = Tensor(gamma.data * xhat + beta.data)
 
     def backward():
-        if out.grad is None:
-            return
         g = out.grad
         if gamma.requires_grad:
-            gamma.ensure_grad()[...] += (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0)
+            _accumulate(gamma, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
         if beta.requires_grad:
-            beta.ensure_grad()[...] += g.reshape(-1, x.shape[-1]).sum(axis=0)
+            _accumulate(beta, g.reshape(-1, x.shape[-1]).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
-            x.ensure_grad()[...] += inv * (
+            _accumulate(x, inv * (
                 dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            ))
 
     return _track(out, (x, gamma, beta), backward)
 
@@ -411,10 +369,8 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     out = Tensor(a.data.mean(axis=axis))
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += np.expand_dims(out.grad, axis) / n
+            _accumulate(a, np.repeat(np.expand_dims(out.grad, axis) / n, n, axis=axis))
 
     return _track(out, (a,), backward)
 
@@ -424,12 +380,10 @@ def max_axis(a: Tensor, axis: int) -> Tensor:
     out = Tensor(np.max(a.data, axis=axis))
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
             scatter = np.zeros_like(a.data)
             np.put_along_axis(scatter, np.expand_dims(idx, axis), np.expand_dims(out.grad, axis), axis)
-            a.ensure_grad()[...] += scatter
+            _accumulate(a, scatter)
 
     return _track(out, (a,), backward)
 
@@ -438,10 +392,8 @@ def mean_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean())
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
-            a.ensure_grad()[...] += out.grad / a.data.size
+            _accumulate(a, np.full(a.shape, out.grad / a.data.size))
 
     return _track(out, (a,), backward)
 
@@ -459,10 +411,8 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     out = Tensor(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z))))
 
     def backward():
-        if out.grad is None:
-            return
         if logits.requires_grad:
-            logits.ensure_grad()[...] += out.grad * (_sigmoid(z) - y)
+            _accumulate(logits, out.grad * (_sigmoid(z) - y))
 
     return _track(out, (logits,), backward)
 
@@ -559,9 +509,8 @@ def multi_head_attention(
     kv: Tensor,
     heads: int,
     params: AttentionParams,
-    return_weights: bool = False,
     rows: tuple[np.ndarray, np.ndarray] | None = None,
-):
+) -> Tensor:
     """Scaled dot-product attention, no masking, optional leading batch axis.
 
     Queries come from q, keys and values from kv; self-attention is q is kv.
@@ -569,9 +518,7 @@ def multi_head_attention(
     dh) and one `attention` call runs every head, a block of query rows at a
     time, recomputing each block's probabilities in the backward pass, so no
     (..., heads, m, n) array is kept on the tape. Per-head scale is
-    1/sqrt(dh), applied to the query projection. With return_weights, also
-    returns the detached attention probabilities, shape (..., heads, m, n);
-    they take that full array, so ask for them on small inputs only.
+    1/sqrt(dh), applied to the query projection.
 
     With rows = (q_rows, kv_rows), q and kv are 2-D token tables and the
     sequences are gathered from them: q_rows (..., m) and kv_rows (..., n)
@@ -606,10 +553,8 @@ def multi_head_attention(
     Q = split(mul_scalar(linear(q, params.wq, params.bq), 1.0 / np.sqrt(dh)), q_rows)
     K = split(linear(kv, params.wk, params.bk), kv_rows)
     V = split(linear(kv, params.wv, params.bv), kv_rows)
-    core = attention(Q, K, V, return_weights=return_weights)
-    core, weights = core if return_weights else (core, None)
-    out = linear(reshape(permute(core, to_heads), q_shape), params.wo, params.bo)
-    return (out, weights) if return_weights else out
+    core = attention(Q, K, V)
+    return linear(reshape(permute(core, to_heads), q_shape), params.wo, params.bo)
 
 
 @dataclass
@@ -643,25 +588,20 @@ def init_encoder_layer(
     )
 
 
-def encoder_layer(z: Tensor, params: EncoderLayerParams, return_weights: bool = False):
+def encoder_layer(z: Tensor, params: EncoderLayerParams) -> Tensor:
     """One transformer encoder block: attention + feed-forward with residuals,
-    pre-norm or post-norm per params.norm_first. With return_weights, also
-    returns the block's detached attention probabilities, shape (..., heads,
-    m, m)."""
+    pre-norm or post-norm per params.norm_first."""
 
     def ffn(x):
         return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
 
     a = layer_norm(z, params.ln1_g, params.ln1_b) if params.norm_first else z
-    att = multi_head_attention(a, a, params.heads, params.attn, return_weights=return_weights)
-    att, weights = att if return_weights else (att, None)
+    att = multi_head_attention(a, a, params.heads, params.attn)
     if params.norm_first:
         h = add(z, att)
-        out = add(h, ffn(layer_norm(h, params.ln2_g, params.ln2_b)))
-    else:
-        h = layer_norm(add(z, att), params.ln1_g, params.ln1_b)
-        out = layer_norm(add(h, ffn(h)), params.ln2_g, params.ln2_b)
-    return (out, weights) if return_weights else out
+        return add(h, ffn(layer_norm(h, params.ln2_g, params.ln2_b)))
+    h = layer_norm(add(z, att), params.ln1_g, params.ln1_b)
+    return layer_norm(add(h, ffn(h)), params.ln2_g, params.ln2_b)
 
 
 # ---------------------------------------------------------------------------

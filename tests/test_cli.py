@@ -62,6 +62,18 @@ class TestGenerate:
         assert "seed = 9" in echoed  # flag overrides file
         assert "kind = er" in echoed
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("sbm-churn", ("--n", 8, "--blocks", 0)),
+        ("sbm-churn", ("--n", 0)),
+        ("sbm", ("--n", 0)),
+        ("er", ("--n", 0)),
+    ], ids=["churn-no-blocks", "churn-no-nodes", "sbm-no-nodes", "er-no-nodes"])
+    def test_empty_block_model_rejected(self, tmp_path, capsys, kind, flags):
+        out = tmp_path / "d"
+        assert run("generate", "--kind", kind, "--t", 3, *flags, "--out", out) == 2
+        assert "error: need n >= 1, t >= 1, num_blocks >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("kind = er\nn = 6\nt = 2\nbogus_knob = 3\n")
