@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
@@ -22,7 +23,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 from .errors import ConfigError, ConvergenceError, SlateError
 from .supra import SupraGraph
 
-DENSE_CUTOFF = 512  # auto method: dense eigensolve up to this many rows
+DENSE_CUTOFF = 512  # auto: dense up to here; ?syevr vs ARPACK: 11 vs 20 ms at ~410 rows, 34 vs 26 ms at ~600
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,11 @@ def normalized_laplacian(adjacency: sp.csr_array, allow_isolated: bool = False) 
     with np.errstate(divide="ignore"):
         dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
     a = adjacency.tocoo()
-    off = sp.coo_array(
-        (-a.data * dinv_sqrt[a.row] * dinv_sqrt[a.col], (a.row, a.col)), shape=a.shape
-    )
-    diag = sp.dia_array(((deg > 0).astype(np.float64)[None, :], [0]), shape=a.shape)
-    lap = (diag + off).tocsr()
+    alive = np.flatnonzero(deg > 0)
+    data = np.concatenate([-a.data * dinv_sqrt[a.row] * dinv_sqrt[a.col], np.ones(len(alive))])
+    row = np.concatenate([a.row, alive])
+    col = np.concatenate([a.col, alive])
+    lap = sp.coo_array((data, (row, col)), shape=a.shape).tocsr()
     return NormalizedSupraLaplacian(matrix=lap, degree=deg)
 
 
@@ -92,8 +93,8 @@ def canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _dense_eigenpairs(lap: NormalizedSupraLaplacian, count: int) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(lap.matrix.toarray())
-    return vals[:count], vecs[:, :count]
+    return scipy.linalg.eigh(lap.matrix.toarray(), subset_by_index=[0, count - 1], driver="evr",
+                             overwrite_a=True)
 
 
 def _arpack_eigenpairs(
@@ -154,7 +155,9 @@ def smallest_eigenpairs(
 ) -> SpectralBasis:
     """k smallest non-trivial eigenpairs: computes k+1, discards the trivial one.
 
-    method "dense" is the exact reference path (LAPACK on the dense matrix).
+    method "dense" is the exact path: LAPACK ?syevr (scipy.linalg.eigh with
+    subset_by_index) on the dense matrix, which computes only the k+1 wanted
+    pairs (k with discard_trivial=False), not the whole spectrum.
     "lanczos" writes the null space down, one vector D^{1/2} 1 per connected
     component in order of its lowest row, and gets the remaining pairs from
     ARPACK's implicitly restarted Lanczos (scipy eigsh, smallest algebraic) on

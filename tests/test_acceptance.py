@@ -3,8 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`. Criterion 6 is implemented
 faithfully but encodes a target above the information ceiling of the i.i.d.
 block-model toy it is defined on; it is expected to fail red, and its failure
-message carries both the measured score and the computed ceiling of the data
-(see the decisions ledger for the full analysis).
+message carries both the measured score and the computed ceiling of the data.
 """
 
 import time
@@ -282,7 +281,7 @@ def test_c6_learning_signal():
     """Faithful run of the stated criterion: default-scale model, SGD with the
     published learning-rate sweep, <= 200 epochs, random negatives, on the
     i.i.d. block-model toy. The 0.90 bar sits above that generator's
-    information ceiling (see the ledger); this test is expected to fail red.
+    information ceiling; this test is expected to fail red.
     """
     budget = 15 * 60
     start = time.time()
@@ -312,7 +311,7 @@ def test_c6_learning_signal():
         f"test AUC {best:.4f} < 0.90 after the full learning-rate sweep {results}; "
         f"the i.i.d. generator's own (block, orientation)-bin ceiling on these test "
         f"snapshots is {ceiling:.4f}, so the stated target exceeds the information "
-        f"content of the specified dataset. See notes/decisions.md for the analysis."
+        f"content of the specified dataset."
     )
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import subspace_angles
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from slate import spectral
-from slate.dtdg import generate_erdos_renyi, generate_sbm_churn, window_of
+from slate.dtdg import Snapshot, generate_erdos_renyi, generate_sbm_churn, window_of
 from slate.errors import ConfigError, ConvergenceError
-from slate.model import EncodingKind, compute_window_encoding
+from slate.model import EncodingKind, _snapshot_lap_pe, compute_window_encoding
 from slate.spectral import (
     DENSE_CUTOFF,
     canonicalize_signs,
@@ -83,6 +84,30 @@ class TestNormalizedLaplacian:
             normalized_laplacian(sg.adjacency)
         lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
         assert np.allclose(lap.matrix.toarray(), 0.0)
+
+    def test_matches_two_step_construction(self):
+        # the matrix as a unit-diagonal dia_array plus the off-diagonal coo_array
+        def two_step(adjacency):
+            deg = np.asarray(adjacency.sum(axis=1)).ravel()
+            with np.errstate(divide="ignore"):
+                dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
+            a = adjacency.tocoo()
+            off = sp.coo_array(
+                (-a.data * dinv_sqrt[a.row] * dinv_sqrt[a.col], (a.row, a.col)), shape=a.shape
+            )
+            diag = sp.dia_array(((deg > 0).astype(np.float64)[None, :], [0]), shape=a.shape)
+            return (diag + off).tocsr()
+
+        churn = list(generate_sbm_churn(60, 3, 0.1, 0.01, 3, seed=2).snapshots)
+        for snaps in [*REFERENCE_WINDOWS.values(), churn]:
+            for adjacency, allow_isolated in (
+                (build(snaps, vn_fallback_link=True).adjacency, False),
+                (build_block_diagonal(snaps).adjacency, True),
+            ):
+                lap = normalized_laplacian(adjacency, allow_isolated).matrix
+                expected = two_step(adjacency)
+                for field in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(lap, field), getattr(expected, field))
 
 
 def random_supra(seed, n_lo=5, n_hi=16, w_hi=4, p=0.4):
@@ -181,6 +206,91 @@ class TestEigensolvers:
             assert np.allclose(info.value.residuals, expected)
         else:
             assert info.value.residuals is None
+
+
+def disjoint_union(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros((len(a) + len(b),) * 2)
+    out[:len(a), :len(a)] = a
+    out[len(a):, len(a):] = b
+    return out
+
+
+def star_graph(leaves):
+    a = np.zeros((leaves + 1, leaves + 1))
+    a[0, 1:] = a[1:, 0] = 1.0
+    return a
+
+
+class TestDenseAgainstFullSolve:
+    """The dense path solves only the wanted pairs; np.linalg.eigh of the whole
+    matrix is the independent oracle. Eigenvalues that agree to 1e-6 form one
+    cluster, and the returned columns of a cluster must lie in the span of the
+    oracle's columns for it: on a simple eigenvalue that is the same vector up
+    to sign, on a repeated one any basis of (part of) the eigenspace."""
+
+    SPECTRA = {
+        "path": path_graph(7),
+        "complete": 1.0 - np.eye(6),  # 0, then 6/5 five times
+        "star": star_graph(5),  # 0, 1 four times, 2
+        "two paths": disjoint_union(path_graph(5), path_graph(5)),  # every eigenvalue twice
+        "two stars": disjoint_union(star_graph(3), star_graph(3)),
+    }
+
+    @staticmethod
+    def check(lap, count):
+        vals, vecs = spectral._dense_eigenpairs(lap, count)
+        oracle_vals, oracle_vecs = np.linalg.eigh(lap.matrix.toarray())
+        assert vals.shape == (count,) and vecs.shape == (lap.size, count)
+        assert np.abs(vals - oracle_vals[:count]).max() < 1e-12
+        res = np.linalg.norm(lap.matrix @ vecs - vecs * vals, axis=0)
+        assert res.max() < 1e-8 * lap.size
+        assert np.abs(vecs.T @ vecs - np.eye(count)).max() < 1e-12
+        cluster = np.concatenate([[0], np.cumsum(np.diff(oracle_vals) > 1e-6)])
+        for c in np.unique(cluster[:count]):
+            returned = vecs[:, cluster[:count] == c]
+            assert subspace_angles(returned, oracle_vecs[:, cluster == c]).max() < 1e-8
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_every_count(self, name):
+        lap = normalized_laplacian(sp.csr_array(self.SPECTRA[name]))
+        for count in range(1, lap.size + 1):
+            self.check(lap, count)
+
+    def test_random_windows(self):
+        for seed in range(1, 9):
+            sg, snaps = random_supra(seed, n_lo=10, n_hi=30)
+            raw = normalized_laplacian(build_block_diagonal(snaps).adjacency, allow_isolated=True)
+            for lap in (normalized_laplacian(sg.adjacency), raw):
+                for count in (1, 9, lap.size):
+                    self.check(lap, count)
+
+    def test_single_row(self):
+        lap = normalized_laplacian(sp.csr_array((1, 1)), allow_isolated=True)
+        self.check(lap, 1)
+
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 3), (3, 4)], [(0, 2), (2, 4), (4, 1)]])
+    def test_lap_pe_small_snapshots(self, edges):
+        # 2, 3 and 4 non-isolated nodes of 5, on paths, whose spectra are
+        # simple; k runs up to m, so the subset reaches the whole subgraph.
+        # Columns are compared up to sign: the paths' symmetric eigenvectors
+        # tie in magnitude, which leaves the canonical sign to rounding.
+        snap = Snapshot.from_edges(5, edges)
+        alive = np.flatnonzero(~snap.isolation_mask())
+        m = len(alive)
+        a = np.zeros((5, 5))
+        for u, v in edges:
+            a[u, v] = a[v, u] = 1.0
+        a = a[np.ix_(alive, alive)]
+        dinv = 1.0 / np.sqrt(a.sum(axis=1))
+        _, oracle = np.linalg.eigh(np.eye(m) - a * dinv[:, None] * dinv[None, :])
+        for k in range(1, m + 1):
+            pe, short = _snapshot_lap_pe(snap, k)
+            avail = min(k, m - 1)
+            assert short == (avail < k)
+            assert not pe[snap.isolation_mask()].any() and not pe[:, avail:].any()
+            for j in range(avail):
+                assert subspace_angles(pe[alive, j:j + 1], oracle[:, j + 1:j + 2]).max() < 1e-8
 
 
 class TestRawEncoding:
