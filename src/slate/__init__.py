@@ -17,7 +17,7 @@ from .dtdg import (
     write_edge_list,
 )
 from .metrics import auc, average_precision
-from .model import EncodingKind, PoolingSpec, SlateModel, compute_window_encoding
+from .model import EncodingKind, SlateModel, compute_window_encoding
 from .sampling import NegativeSampler, sample_pairs
 from .spectral import (
     NormalizedSupraLaplacian,
@@ -36,7 +36,7 @@ __all__ = [
     "load_edge_list", "read_edge_list", "split_chronological", "window_of",
     "write_edge_list",
     "auc", "average_precision",
-    "EncodingKind", "PoolingSpec", "SlateModel", "compute_window_encoding",
+    "EncodingKind", "SlateModel", "compute_window_encoding",
     "NegativeSampler", "sample_pairs",
     "NormalizedSupraLaplacian", "RawEncodingTable", "SpectralBasis",
     "normalized_laplacian", "raw_encoding", "smallest_eigenpairs",

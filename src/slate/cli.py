@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from .dtdg import (
     write_metadata,
 )
 from .errors import ConfigError, ConnectivityError, DegenerateWindowError, SlateError
-from .model import EncodingKind, PoolingSpec
 from .nn import load_checkpoint, save_checkpoint
 from .spectral import (
     normalized_laplacian,
@@ -62,25 +62,12 @@ _GENERATE = Schema({
 })
 
 
-def _run_config_fields() -> dict:
-    """One schema entry per TrainConfig field, defaults taken from TrainConfig()."""
-    defaults = TrainConfig()
-    fields = {}
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(defaults, f.name)
-        if isinstance(value, PoolingSpec):
-            fields |= {"pooling": (str, value.kind), "pool_last_k": (int, value.last_k)}
-        elif isinstance(value, EncodingKind):
-            fields[f.name] = (str, value.value)
-        else:
-            fields[f.name] = (parse_bool if isinstance(value, bool) else type(value), value)
-    return fields
-
-
 _TRAIN_FIELDS = {
     "out": (str, None),
     "data": (str, None),
-    **_run_config_fields(),
+    # one entry per TrainConfig field, with its default
+    **{f.name: (parse_bool if isinstance(f.default, bool) else type(f.default), f.default)
+       for f in dataclasses.fields(TrainConfig)},
     "split": (str, "ratio"),
     "train_frac": (float, 0.7),
     "val_frac": (float, 0.15),
@@ -171,20 +158,9 @@ def _split_ranges(cfg: dict, g: DynamicGraph):
     return split_chronological(g, spec)
 
 
-def _encoding_kind(name: str) -> EncodingKind:
-    try:
-        return EncodingKind(name)
-    except ValueError:
-        known = ", ".join(kind.value for kind in EncodingKind)
-        raise ConfigError(f"unknown encoding {name!r}; expected one of {known}") from None
-
-
 def _train_config(cfg: dict) -> TrainConfig:
     """The run's resolved values as a TrainConfig; the one place one is built."""
-    plain = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)
-             if f.name not in ("pooling", "encoding")}
-    return TrainConfig(**plain, pooling=PoolingSpec(cfg["pooling"], cfg["pool_last_k"]),
-                       encoding=_encoding_kind(cfg["encoding"]))
+    return TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -346,84 +322,80 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_windows(raw: str) -> list[int | None]:
+def _parse_windows(raw: str, num_snapshots: int) -> list[tuple[str, int]]:
+    """(label, window size) per item; inf and all mean every snapshot."""
     out = []
     for item in raw.split(","):
         item = item.strip()
         if item in ("inf", "all"):
-            out.append(None)
+            out.append(("inf", num_snapshots))
             continue
         try:
             w = int(item)
         except ValueError:
             raise ConfigError(f"--windows takes integers, inf or all, got {item!r}") from None
-        if w < 1:
-            raise ConfigError("window size must be >= 1")
-        out.append(w)
+        out.append((str(w), w))
     return out
 
 
-def _parse_edge_modules(raw: str) -> list[bool]:
-    out = []
-    for item in raw.split(","):
-        item = item.strip()
+def _parse_edge_modules(raw: str) -> list[str]:
+    out = [item.strip() for item in raw.split(",")]
+    for item in out:
         if item not in ("on", "off"):
             raise ConfigError(f"--edge-modules takes on or off, got {item!r}")
-        out.append(item == "on")
     return out
 
 
 def cmd_ablate(args) -> int:
     cfg = _resolve(_ABLATE, args)
+    if cfg["seeds"] < 1:
+        raise ConfigError("--seeds must be >= 1")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     g = load_dataset(cfg["data"])
     train_range, val_range, test_range = _split_ranges(cfg, g)
     base = _train_config(cfg | {name: _TRAIN_FIELDS[name][1] for name in _CELL_FIELDS})
-    encodings = [_encoding_kind(e.strip()) for e in cfg["encodings"].split(",")]
-    edge_flags = _parse_edge_modules(cfg["edge_modules"])
-    poolings = [p.strip() for p in cfg["poolings"].split(",")]
-    windows = _parse_windows(cfg["windows"])
-    n_seeds = cfg["seeds"]
+    grid = itertools.product(
+        [e.strip() for e in cfg["encodings"].split(",")],
+        _parse_edge_modules(cfg["edge_modules"]),
+        [p.strip() for p in cfg["poolings"].split(",")],
+        _parse_windows(cfg["windows"], g.num_snapshots),
+    )
+    # every cell's configs are built (and so checked) before the first one trains
+    cells = [
+        (enc, edge, pool, w_label,
+         [dataclasses.replace(base, w=w, encoding=enc, use_edge_module=edge == "on",
+                              pooling=pool, seed=base.seed + s) for s in range(cfg["seeds"])])
+        for enc, edge, pool, (w_label, w) in grid
+    ]
 
     rows = []
     failures = []
-    for enc in encodings:
-        for edge_on in edge_flags:
-            for pool_kind in poolings:
-                for w in windows:
-                    w_eff = g.num_snapshots if w is None else w
-                    w_label = "inf" if w is None else str(w)
-                    aucs, aps = [], []
-                    for s in range(n_seeds):
-                        cell = (f"encoding={enc.value} edge={'on' if edge_on else 'off'} "
-                                f"pooling={pool_kind} w={w_label} seed={cfg['seed'] + s}")
-                        try:
-                            tc = dataclasses.replace(
-                                base, w=w_eff, encoding=enc, use_edge_module=edge_on,
-                                pooling=PoolingSpec(pool_kind, base.pooling.last_k),
-                                seed=base.seed + s,
-                            )
-                            model = tc.build_model(g.num_nodes)
-                            train(model, g, tc, train_range, val_range)
-                            report = evaluate(model, g, test_range, strategy="random",
-                                              train_range=train_range, seed=cfg["seed"] + s)
-                            aucs.append(report.aggregate_auc)
-                            aps.append(report.aggregate_ap)
-                        except SlateError as exc:
-                            failures.append({"cell": cell, "error": str(exc)})
-                    if aucs:
-                        rows.append({
-                            "encoding": enc.value,
-                            "edge_module": "on" if edge_on else "off",
-                            "pooling": pool_kind,
-                            "window": w_label,
-                            "seeds": len(aucs),
-                            "mean_auc": float(np.mean(aucs)),
-                            "std_auc": float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0,
-                            "mean_ap": float(np.mean(aps)),
-                            "std_ap": float(np.std(aps, ddof=1)) if len(aps) > 1 else 0.0,
-                        })
+    for enc, edge, pool, w_label, configs in cells:
+        aucs, aps = [], []
+        for tc in configs:
+            try:
+                model = tc.build_model(g.num_nodes)
+                train(model, g, tc, train_range, val_range)
+                report = evaluate(model, g, test_range, strategy="random",
+                                  train_range=train_range, seed=tc.seed)
+                aucs.append(report.aggregate_auc)
+                aps.append(report.aggregate_ap)
+            except SlateError as exc:
+                failures.append({"cell": f"encoding={enc} edge={edge} pooling={pool} "
+                                         f"w={w_label} seed={tc.seed}", "error": str(exc)})
+        if aucs:
+            rows.append({
+                "encoding": enc,
+                "edge_module": edge,
+                "pooling": pool,
+                "window": w_label,
+                "seeds": len(aucs),
+                "mean_auc": float(np.mean(aucs)),
+                "std_auc": float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0,
+                "mean_ap": float(np.mean(aps)),
+                "std_ap": float(np.std(aps, ddof=1)) if len(aps) > 1 else 0.0,
+            })
 
     for row in rows:
         row["auc_pct"] = f"{100 * row['mean_auc']:.2f} ± {100 * row['std_auc']:.2f}"

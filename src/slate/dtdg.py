@@ -61,14 +61,6 @@ class Snapshot:
         """Boolean vector, true where the node has no incident edge here."""
         return self.degree == 0
 
-    def __eq__(self, other):
-        if not isinstance(other, Snapshot):
-            return NotImplemented
-        return self.num_nodes == other.num_nodes and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.num_nodes, self.edges))
-
 
 @dataclass(frozen=True)
 class DynamicGraph:
@@ -95,14 +87,6 @@ class DynamicGraph:
         for snap in self.snapshots[:stop]:
             out |= snap.edges
         return frozenset(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, DynamicGraph):
-            return NotImplemented
-        return self.num_nodes == other.num_nodes and self.snapshots == other.snapshots
-
-    def __hash__(self):
-        return hash((self.num_nodes, self.snapshots))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .spectral import (
 )
 from .supra import build_block_diagonal, build_supra, symmetric_adjacency
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 
 class EncodingKind(str, Enum):
     SLATE = "slate"
@@ -40,18 +44,13 @@ class EncodingKind(str, Enum):
     SLATE_NO_TRANSFORM = "slate-notransform"
 
 
-@dataclass(frozen=True)
-class PoolingSpec:
-    """Time pooling over the final last_k positions of the pairwise sequence."""
-
-    kind: str = "mean"  # "mean" | "max"
-    last_k: int = 3
-
-    def __post_init__(self):
-        if self.kind not in ("mean", "max"):
-            raise ConfigError(f"unknown pooling kind {self.kind!r}")
-        if self.last_k < 1:
-            raise ConfigError("pooling last_k must be >= 1")
+def encoding_kind(name: str) -> EncodingKind:
+    """The EncodingKind named by name; ConfigError for an unknown name."""
+    try:
+        return EncodingKind(name)
+    except ValueError:
+        known = ", ".join(kind.value for kind in EncodingKind)
+        raise ConfigError(f"unknown encoding {name!r}; expected one of {known}") from None
 
 
 @dataclass(frozen=True)
@@ -68,56 +67,29 @@ class BaselineEncodingTable:
 class SlateModel:
     """Parameter bundle and forward passes for dynamic link prediction.
 
-    Token dimension d splits exactly into (d - k) embedding dims and k encoding
-    dims. All parameters live in one seed-deterministic store. w, encoding, k,
-    d_time and vn_fallback_link also fix how every window is encoded.
+    cfg (a training.TrainConfig) holds every setting. Token dimension d splits
+    exactly into (d - k) embedding dims and k encoding dims. All parameters live
+    in one store seeded by cfg.seed. cfg's w, encoding, k, d_time and
+    vn_fallback_link also fix how every window is encoded.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        d: int = 128,
-        k: int = 8,
-        w: int = 3,
-        heads: int = 2,
-        nhead_xa: int = 2,
-        ffn_dim: int = 128,
-        norm_first: bool = True,
-        pooling: PoolingSpec = PoolingSpec(),
-        encoding: EncodingKind = EncodingKind.SLATE,
-        d_time: int = 8,
-        use_edge_module: bool = True,
-        symmetrize: bool = False,
-        vn_fallback_link: bool = False,
-        seed: int = 0,
-    ):
-        if k >= d:
-            raise ConfigError(f"need k < d, got k={k}, d={d}")
-        if w < 1:
-            raise ConfigError("window size must be >= 1")
+    def __init__(self, num_nodes: int, cfg: TrainConfig, symmetrize: bool = False):
         self.num_nodes = num_nodes
-        self.d = d
-        self.k = k
-        self.w = w
-        self.nhead_xa = nhead_xa
-        self.pooling = pooling
-        self.encoding = EncodingKind(encoding)
-        self.d_time = d_time
-        self.use_edge_module = use_edge_module
+        self.cfg = cfg
         self.symmetrize = symmetrize
-        self.vn_fallback_link = vn_fallback_link
 
+        d, k = cfg.d, cfg.k
         feat = d - k
-        st_in = k + d_time if self.encoding == EncodingKind.LAPPE_TIME else 2 * k
-        self.st_in = st_in
-        store = ParameterStore(seed)
+        self.st_in = k + cfg.d_time if cfg.encoding == EncodingKind.LAPPE_TIME else 2 * k
+        store = ParameterStore(cfg.seed)
         self.embed_table = store.embedding("embed.table", num_nodes, feat)
         self.ge_w = store.weight("embed.proj.w", feat, feat)
         self.ge_b = store.zeros("embed.proj.b", feat)
-        self.st_w = store.weight("st.proj.w", st_in, k)
+        self.st_w = store.weight("st.proj.w", self.st_in, k)
         self.st_b = store.zeros("st.proj.b", k)
-        self.encoder = nn.init_encoder_layer(store, "encoder", d, heads, ffn_dim, norm_first)
-        if use_edge_module:
+        self.encoder = nn.init_encoder_layer(store, "encoder", d, cfg.heads, cfg.ffn_dim,
+                                             cfg.norm_first)
+        if cfg.use_edge_module:
             self.xa = nn.init_attention(store, "xa", d)
             self.xa_ln_g = store.ones("xa.ln.gamma", d)
             self.xa_ln_b = store.zeros("xa.ln.beta", d)
@@ -162,24 +134,25 @@ class SlateModel:
     def _sequence_indices(self, nodes: np.ndarray, num_members: int) -> np.ndarray:
         return np.arange(num_members)[None, :] * self.num_nodes + np.asarray(nodes)[:, None]
 
-    def _pool(self, seq: Tensor, pool: PoolingSpec) -> Tensor:
+    def _pool(self, seq: Tensor) -> Tensor:
+        """Time pooling over the last cfg.pool_last_k positions of the sequence."""
         length = seq.shape[1]
-        last = min(pool.last_k, length)
+        last = min(self.cfg.pool_last_k, length)
         sliced = nn.slice_axis1(seq, length - last, length)
-        return nn.mean_axis(sliced, 1) if pool.kind == "mean" else nn.max_axis(sliced, 1)
+        return nn.mean_axis(sliced, 1) if self.cfg.pooling == "mean" else nn.max_axis(sliced, 1)
 
     def _pair_logits(self, zt: Tensor, pairs: np.ndarray) -> Tensor:
         num_members = zt.shape[0] // self.num_nodes
         rows_u = self._sequence_indices(pairs[:, 0], num_members)
         rows_v = self._sequence_indices(pairs[:, 1], num_members)
         seq_u = nn.gather_rows(zt, rows_u)
-        if self.use_edge_module:
-            att = nn.multi_head_attention(zt, zt, self.nhead_xa, self.xa, rows=(rows_u, rows_v))
+        if self.cfg.use_edge_module:
+            att = nn.multi_head_attention(zt, zt, self.cfg.nhead_xa, self.xa, rows=(rows_u, rows_v))
             e = nn.layer_norm(nn.add(seq_u, att), self.xa_ln_g, self.xa_ln_b)
-            pooled = self._pool(e, self.pooling)
+            pooled = self._pool(e)
         else:
             seq_v = nn.gather_rows(zt, rows_v)
-            pooled = nn.concat_last([self._pool(seq_u, self.pooling), self._pool(seq_v, self.pooling)])
+            pooled = nn.concat_last([self._pool(seq_u), self._pool(seq_v)])
         h = nn.relu(nn.linear(pooled, self.head_w1, self.head_b1))
         return nn.reshape(nn.linear(h, self.head_w2, self.head_b2), (len(pairs),))
 
@@ -263,7 +236,7 @@ def compute_window_encoding(
     d_time is read by the LapPE baseline only, vn_fallback_link by the
     transformed graph only (see build_supra)."""
     snapshots = [g.snapshots[t] for t in window.members]
-    kind = EncodingKind(kind)
+    kind = encoding_kind(kind)
     if kind == EncodingKind.SLATE:
         sg = build_supra(snapshots, window, vn_fallback_link=vn_fallback_link)
         basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), k, method=eig_method)
@@ -273,6 +246,4 @@ def compute_window_encoding(
         lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
         basis = smallest_eigenpairs(lap, k, method=eig_method, discard_trivial=False)
         return raw_encoding(basis, sg)
-    if kind == EncodingKind.LAPPE_TIME:
-        return lap_pe_time_encoding(snapshots, k, d_time, window.members)
-    raise ConfigError(f"unknown encoding kind {kind!r}")
+    return lap_pe_time_encoding(snapshots, k, d_time, window.members)  # LAPPE_TIME

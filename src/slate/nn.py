@@ -44,10 +44,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def item(self) -> float:
         return float(self.data)
 
@@ -470,12 +466,13 @@ class ParameterStore:
 
 
 def sgd_step(store: ParameterStore, lr: float, weight_decay: float = 0.0) -> None:
-    """p <- p - lr * (grad + weight_decay * p), then zero the gradients."""
+    """p <- p - lr * (grad + weight_decay * p), then drop the gradients, so a
+    second step needs a new backward."""
     for name, p in store.parameters().items():
         if p.grad is None:
             raise TrainingError(f"parameter {name!r} has no gradient; run backward first")
         p.data -= lr * (p.grad + weight_decay * p.data)
-        p.zero_grad()
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ class SupraGraph:
     def num_nodes(self) -> int:
         return self.rows.shape[1]
 
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
-
     def coordinate_list(self) -> list[tuple[int, int]]:
         """Upper-triangle edge list (i < j) in deterministic order."""
         coo = sp.triu(self.adjacency, k=1).tocoo()

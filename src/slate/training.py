@@ -12,7 +12,7 @@ choices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,19 +20,17 @@ from . import nn
 from .dtdg import DynamicGraph, SplitSpec, split_chronological, window_of
 from .errors import ConfigError, SlateError, TrainingError
 from .metrics import auc, average_precision
-from .model import EncodingKind, PoolingSpec, SlateModel, compute_window_encoding
+from .model import SlateModel, compute_window_encoding, encoding_kind
 from .sampling import NegativeSampler, sample_pairs
-
-
-_OPTIMIZER_FIELDS = ("lr", "weight_decay", "epochs", "patience")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One run's settings. lr, weight_decay, epochs and patience drive the
-    optimizer, and seed its negative draws; every other field, seed included,
-    is a SlateModel argument, so the model built from them owns how windows
-    are encoded."""
+    """One run's settings, checked on construction (ConfigError). lr,
+    weight_decay, epochs and patience drive the optimizer, and seed its negative
+    draws; SlateModel reads every other field, seed included, so the model built
+    from a config owns how windows are encoded. pooling ("mean" or "max") pools
+    the last pool_last_k positions of a pair's sequence."""
 
     lr: float = 0.01
     weight_decay: float = 0.0
@@ -45,17 +43,27 @@ class TrainConfig:
     nhead_xa: int = 2
     ffn_dim: int = 128
     norm_first: bool = True
-    pooling: PoolingSpec = PoolingSpec()
-    encoding: EncodingKind = EncodingKind.SLATE
+    pooling: str = "mean"
+    pool_last_k: int = 3
+    encoding: str = "slate"
     d_time: int = 8
     use_edge_module: bool = True
     vn_fallback_link: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        encoding_kind(self.encoding)
+        if self.pooling not in ("mean", "max"):
+            raise ConfigError(f"unknown pooling kind {self.pooling!r}")
+        if self.pool_last_k < 1:
+            raise ConfigError("pool_last_k must be >= 1")
+        if self.k >= self.d:
+            raise ConfigError(f"need k < d, got k={self.k}, d={self.d}")
+        if self.w < 1:
+            raise ConfigError("window size must be >= 1")
+
     def build_model(self, num_nodes: int) -> SlateModel:
-        model_args = {f.name: getattr(self, f.name) for f in fields(self)
-                      if f.name not in _OPTIMIZER_FIELDS}
-        return SlateModel(num_nodes=num_nodes, **model_args)
+        return SlateModel(num_nodes, self)
 
 
 @dataclass
@@ -110,12 +118,12 @@ class _EncodingCache:
         self._tables: dict[int, object] = {}
 
     def window_and_table(self, t_end: int):
-        m = self.model
-        window = window_of(self.g, t_end, m.w)
+        cfg = self.model.cfg
+        window = window_of(self.g, t_end, cfg.w)
         if t_end not in self._tables:
             self._tables[t_end] = compute_window_encoding(
-                self.g, window, m.encoding, m.k, d_time=m.d_time,
-                vn_fallback_link=m.vn_fallback_link,
+                self.g, window, cfg.encoding, cfg.k, d_time=cfg.d_time,
+                vn_fallback_link=cfg.vn_fallback_link,
             )
         return window, self._tables[t_end]
 

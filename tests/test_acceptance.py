@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from slate import nn
 from slate.dtdg import SplitSpec, generate_erdos_renyi, generate_sbm, generate_sbm_churn, split_chronological, window_of
 from slate.metrics import auc, average_precision
-from slate.model import EncodingKind, PoolingSpec, SlateModel, compute_window_encoding
+from slate.model import EncodingKind, compute_window_encoding
 from slate.nn import Tape, Tensor
 from slate.sampling import NegativeSampler, sample_pairs
 from slate.spectral import normalized_laplacian, raw_encoding, smallest_eigenpairs
@@ -151,7 +151,7 @@ def test_c3_gradient_correctness():
 
     # full pipeline on the 6-node, w=2, k=2, d=16 model, every parameter
     g = generate_erdos_renyi(6, 0.6, 4, seed=3)
-    model = SlateModel(num_nodes=6, d=16, k=2, w=2, heads=2, nhead_xa=2, ffn_dim=32, seed=1)
+    model = TrainConfig(d=16, k=2, w=2, heads=2, nhead_xa=2, ffn_dim=32, seed=1).build_model(6)
     window = window_of(g, 2, 2)
     table = compute_window_encoding(g, window, EncodingKind.SLATE, 2)
     pairs = np.array([[0, 1], [2, 5], [3, 4], [1, 2]])

@@ -266,12 +266,23 @@ class TestAblate:
         ("--windows", "2,0", "window size must be >= 1"),
         ("--windows", "2,-1", "window size must be >= 1"),
         ("--edge-modules", "true", "--edge-modules takes on or off, got 'true'"),
-    ], ids=["windows", "windows-zero", "windows-negative", "edge-modules"])
+        ("--poolings", "mean,median", "unknown pooling kind 'median'"),
+        ("--seeds", "0", "--seeds must be >= 1"),
+    ], ids=["windows", "windows-zero", "windows-negative", "edge-modules", "poolings",
+            "seeds-zero"])
     def test_bad_grid_list_rejected(self, tmp_path, tiny_dataset, capsys, flag, value, message):
         out = tmp_path / "abl"
         assert run("ablate", "--data", tiny_dataset, "--out", out, flag, value, *ABLATE_FLAGS) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()  # rejected before any cell ran
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_k_not_below_d_rejected(self, tmp_path, tiny_dataset, capsys, command):
+        out = tmp_path / "run"
+        assert run(command, "--data", tiny_dataset, "--out", out,
+                   *ABLATE_FLAGS, "--k", 16, "--d", 16) == 2  # the later flags win
+        assert "error: need k < d, got k=16, d=16" in capsys.readouterr().err
+        assert not (out / "summary.json").exists() and not (out / "model.ckpt").exists()
 
     def test_multi_seed_mean_std(self, tmp_path, tiny_dataset):
         out = tmp_path / "abl"

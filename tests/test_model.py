@@ -10,7 +10,6 @@ from slate.errors import ConfigError, NodeBoundsError
 from slate.model import (
     BaselineEncodingTable,
     EncodingKind,
-    PoolingSpec,
     SlateModel,
     _snapshot_lap_pe,
     compute_window_encoding,
@@ -19,13 +18,14 @@ from slate.model import (
 )
 from slate.nn import Tape, Tensor
 from slate.spectral import canonicalize_signs
+from slate.training import TrainConfig
 
 
-def toy_setup(seed=0, n=6, w=2, k=2, d=16, **kwargs):
+def toy_setup(seed=0, n=6, w=2, k=2, d=16, symmetrize=False, **kwargs):
     g = generate_erdos_renyi(n, 0.6, 4, seed=3)
     assert all(s.num_edges > 0 for s in g.snapshots)
-    model = SlateModel(num_nodes=n, d=d, k=k, w=w, heads=2, nhead_xa=2, ffn_dim=32,
-                       seed=seed, **kwargs)
+    cfg = TrainConfig(d=d, k=k, w=w, heads=2, nhead_xa=2, ffn_dim=32, seed=seed, **kwargs)
+    model = SlateModel(n, cfg, symmetrize=symmetrize)
     window = window_of(g, 2, w)
     table = compute_window_encoding(g, window, EncodingKind.SLATE, k)
     return g, model, window, table
@@ -34,7 +34,7 @@ def toy_setup(seed=0, n=6, w=2, k=2, d=16, **kwargs):
 class TestTokenSequence:
     def test_shape_is_nodes_times_members_by_d(self):
         g = generate_erdos_renyi(10, 0.6, 4, seed=7)
-        model = SlateModel(num_nodes=10, d=128, k=8, w=3, seed=0)
+        model = TrainConfig(d=128, k=8, w=3, seed=0).build_model(10)
         window = window_of(g, 3, 3)
         table = compute_window_encoding(g, window, EncodingKind.SLATE, 8)
         z = model.token_sequence(table, len(window))
@@ -114,8 +114,8 @@ class TestEdgeScoring:
             model.edge_logits(zt, [[2, 2]])
 
     def test_window_of_one_makes_pooling_identity(self):
-        g, mean_model, window, table = toy_setup(w=1, pooling=PoolingSpec("mean", 3))
-        _, max_model, _, _ = toy_setup(w=1, pooling=PoolingSpec("max", 1))
+        g, mean_model, window, table = toy_setup(w=1, pooling="mean", pool_last_k=3)
+        _, max_model, _, _ = toy_setup(w=1, pooling="max", pool_last_k=1)
         zm = mean_model.encode(mean_model.token_sequence(table, len(window)))
         zx = max_model.encode(max_model.token_sequence(table, len(window)))
         lm = mean_model.edge_logits(zm, [[0, 1]]).data
@@ -127,7 +127,8 @@ class TestEdgeScoring:
         g, model, window, table = toy_setup()
         row = rng.standard_normal(16)
         seq = Tensor(np.tile(row, (1, len(window), 1)))
-        pooled = model._pool(seq, PoolingSpec("mean", len(window)))
+        assert model.cfg.pooling == "mean" and model.cfg.pool_last_k >= len(window)
+        pooled = model._pool(seq)
         assert np.allclose(pooled.data[0], row)
 
     def test_symmetrize_flag(self):
@@ -143,8 +144,7 @@ class TestEdgeScoring:
         base = model.edge_logits(zt, [[0, 1]])
 
         relabel = np.array([0, 1, 3, 4, 2, 5])  # fixes 0 and 1, shuffles the rest
-        permuted = SlateModel(num_nodes=6, d=16, k=2, w=2, heads=2, nhead_xa=2,
-                              ffn_dim=32, seed=0)
+        permuted = model.cfg.build_model(6)
         permuted.store.load_state(model.store.state())
         permuted.embed_table.data[relabel] = model.embed_table.data
         mat = np.zeros_like(table.matrix)
@@ -181,9 +181,9 @@ def _gather_then_project_logits(model, zt, pairs):
     def logits(pairs):
         seq_u = nn.gather_rows(zt, rows(pairs[:, 0]))
         seq_v = nn.gather_rows(zt, rows(pairs[:, 1]))
-        att = nn.multi_head_attention(seq_u, seq_v, model.nhead_xa, model.xa)
+        att = nn.multi_head_attention(seq_u, seq_v, model.cfg.nhead_xa, model.xa)
         e = nn.layer_norm(nn.add(seq_u, att), model.xa_ln_g, model.xa_ln_b)
-        h = nn.relu(nn.linear(model._pool(e, model.pooling), model.head_w1, model.head_b1))
+        h = nn.relu(nn.linear(model._pool(e), model.head_w1, model.head_b1))
         return nn.reshape(nn.linear(h, model.head_w2, model.head_b2), (len(pairs),))
 
     out = logits(pairs)
@@ -346,8 +346,8 @@ class TestBaselineEncoding:
 
     def test_lap_pe_model_end_to_end(self):
         g = generate_erdos_renyi(6, 0.6, 4, seed=3)
-        model = SlateModel(num_nodes=6, d=16, k=2, w=2, heads=2, nhead_xa=1,
-                           ffn_dim=32, encoding=EncodingKind.LAPPE_TIME, d_time=4, seed=0)
+        model = TrainConfig(d=16, k=2, w=2, heads=2, nhead_xa=1, ffn_dim=32,
+                            encoding="lappe-time", d_time=4, seed=0).build_model(6)
         window = window_of(g, 2, 2)
         table = compute_window_encoding(g, window, EncodingKind.LAPPE_TIME, 2, d_time=4)
         assert table.matrix.shape == (2, 6, 6)
@@ -365,11 +365,10 @@ class TestBaselineEncoding:
 
 
 class TestSpecDetails:
-    def test_pooling_spec_validation(self):
-        with pytest.raises(ConfigError):
-            PoolingSpec("median", 3)
-        with pytest.raises(ConfigError):
-            PoolingSpec("mean", 0)
+    def test_unknown_encoding_raises_config_error(self):
+        g = generate_erdos_renyi(6, 0.6, 4, seed=3)
+        with pytest.raises(ConfigError, match="unknown encoding 'bogus'"):
+            compute_window_encoding(g, window_of(g, 2, 2), "bogus", 2)
 
     def test_cross_attention_is_directional(self):
         g, model, window, table = toy_setup()

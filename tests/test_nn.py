@@ -449,7 +449,7 @@ class TestSgd:
         p.grad = np.full(1, 2.0)
         nn.sgd_step(store, lr=0.1)
         assert np.allclose(p.data, 0.8)
-        assert np.all(p.grad == 0.0)
+        assert p.grad is None
 
     def test_weight_decay_only(self):
         store = ParameterStore(0)
@@ -464,6 +464,16 @@ class TestSgd:
         store.weight("w", 2, 2)
         with pytest.raises(TrainingError):
             nn.sgd_step(store, lr=0.1)
+
+    def test_second_step_without_backward_rejected(self):
+        store = ParameterStore(0)
+        p = store.zeros("p", 1)
+        p.data[...] = 1.0
+        p.grad = np.full(1, 2.0)
+        nn.sgd_step(store, lr=0.1, weight_decay=0.5)
+        with pytest.raises(TrainingError):
+            nn.sgd_step(store, lr=0.1, weight_decay=0.5)
+        assert np.allclose(p.data, 1.0 - 0.1 * (2.0 + 0.5))  # decay applied once only
 
 
 class TestLayerNorm:

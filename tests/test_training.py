@@ -387,6 +387,19 @@ def alternating_groups_graph():
     return graph_from_edge_lists(10, [paths[t % 2] for t in range(8)])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("setting, message", [
+        (dict(pooling="median"), "unknown pooling kind 'median'"),
+        (dict(pool_last_k=0), "pool_last_k must be >= 1"),
+        (dict(encoding="bogus"), "unknown encoding 'bogus'"),
+        (dict(k=16, d=16), "need k < d"),
+        (dict(w=0), "window size must be >= 1"),
+    ], ids=["pooling", "pool-last-k", "encoding", "k-not-below-d", "window"])
+    def test_bad_setting_raises_config_error(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**setting)
+
+
 def gap_config(**kw):
     return TrainConfig(w=2, k=2, d=16, heads=2, nhead_xa=1, ffn_dim=32, epochs=2, seed=0, **kw)
 
