@@ -131,6 +131,8 @@ def load_dataset(stem: str) -> DynamicGraph:
         stem = stem[: -len(".edges")]
     edges_path = Path(stem + ".edges")
     meta_path = Path(stem + ".meta")
+    if not edges_path.is_file():
+        raise ConfigError(f"{edges_path}: no such dataset file")
     fmt = EdgeListFormat()
     if meta_path.exists():
         meta = read_metadata(meta_path)
@@ -270,6 +272,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(_TRAIN, args)
+    cfg["data"] = str(Path(cfg["data"]).resolve())  # so `eval --run` finds it from any directory
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     g = load_dataset(cfg["data"])
@@ -301,6 +304,9 @@ def cmd_eval(args) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     run_dir = Path(cfg["run"])
+    for name in ("config.txt", "model.ckpt"):
+        if not (run_dir / name).is_file():
+            raise ConfigError(f"{run_dir}: not a training run (no {name})")
     train_cfg = _TRAIN.resolve(read_kv_file(run_dir / "config.txt"), {})
     data = cfg["data"] or train_cfg["data"]
     g = load_dataset(data)

@@ -15,13 +15,23 @@ sequences from the projections, whose gradients `gather_rows` scatters back
 with one sparse matrix product. A forward/backward pass with its tape
 belongs to one thread: the active tape is per thread, so no-grad forwards over
 frozen parameters are safe to run concurrently with training.
+
+Attention is the one primitive that runs on several threads. When its scores
+exceed one block, it cuts leading axis 0 (the heads, for the encoder) into one
+contiguous part per CPU in the process's affinity mask and runs each part's
+block loop on a worker of a pool made on first use, and made again in a forked
+child. Every entry of its results depends on one index of that axis only, so
+the bits do not depend on the number of workers. The calling thread allocates
+every array the workers write.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,6 +270,47 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 ATTENTION_BLOCK = 1 << 20
 
 
+class _Pool:
+    """Threads for attention's parts of leading axis 0, one per CPU in the
+    process's affinity mask. The executor starts its threads on first use."""
+
+    def __init__(self, workers: int):
+        self.pid = os.getpid()
+        self.workers = workers
+        self.executor = ThreadPoolExecutor(workers, thread_name_prefix="slate-attention")
+
+
+_POOL: _Pool | None = None
+
+
+def _pool() -> _Pool:
+    """This process's pool, made on first use. A forked child inherits the
+    object but not its threads, so it makes its own. Two threads that race
+    here may each make one; the pool not kept is dropped and its threads exit,
+    and the results do not depend on which pool ran them."""
+    global _POOL
+    if _POOL is None or _POOL.pid != os.getpid():
+        if hasattr(os, "sched_getaffinity"):
+            _POOL = _Pool(len(os.sched_getaffinity(0)))
+        else:
+            _POOL = _Pool(os.cpu_count() or 1)
+    return _POOL
+
+
+def _first(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading prod(shape) entries of the contiguous array buf, as a
+    contiguous array of that shape."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _add_matmul(total: np.ndarray, a: np.ndarray, b: np.ndarray, first: bool, product) -> None:
+    """total = a @ b when first, else total += a @ b, a @ b put in the array product."""
+    if first:
+        np.matmul(a, b, out=total)
+    else:
+        np.add(total, np.matmul(a, b, out=product), out=total)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q kᵀ) v over the last two axes: q (..., m, dh), k (..., n, dh),
     v (..., n, dv), equal leading axes; no scaling and no masking.
@@ -270,58 +321,97 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     backward pass recomputes every block's probabilities p, bit for bit, and
     forms dV = pᵀ dO, dS = p (dO vᵀ - D), dQ = dS k and dK = dSᵀ q, where
     D = rowsum(dO O). No (..., m, n) array outlives a block.
+
+    When the scores exceed one block and leading axis 0 has several entries,
+    that axis is cut into contiguous parts, one per worker of the process's
+    pool (one thread per CPU in its affinity mask), and each part runs the
+    block loop on its own thread; forward and backward alike. A part keeps
+    the block rows computed from the whole leading shape, and every entry of
+    the outputs and gradients depends only on its own index along axis 0, so
+    each is formed by the same products, reductions and sums in the same order
+    whatever the worker count: the result is bit-identical to one worker's.
+    The calling thread allocates every array a part writes (score and dS
+    blocks, dK and dV partials, the output and the gradients) and the parts
+    write into them with out=, so no large buffer is freed on a worker thread,
+    whose allocator arena would keep it.
     """
     if (q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
             or k.shape[-2] != v.shape[-2] or q.shape[-1] != k.shape[-1]):
         raise ShapeError(f"attention: q{q.shape}, k{k.shape}, v{v.shape}")
     lead, m, n = q.shape[:-2], q.shape[-2], k.shape[-2]
-    rows = max(1, ATTENTION_BLOCK // max(1, math.prod(lead) * n))
-    blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
+    rows = min(m, max(1, ATTENTION_BLOCK // max(1, math.prod(lead) * n)))
+    blocks = [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    parts = [Ellipsis]  # each part indexes its share of every (*lead, ...) array
+    if lead and lead[0] > 1 and math.prod(lead) * m * n > ATTENTION_BLOCK:
+        count = min(_pool().workers, lead[0])
+        cuts = [lead[0] * i // count for i in range(count + 1)]
+        parts = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+    def run(fn, *per_part) -> None:
+        """fn(part, *its buffers) for every part; here when there is one."""
+        if len(parts) == 1:
+            fn(parts[0], *(b[0] for b in per_part))
+        else:
+            list(_pool().executor.map(fn, parts, *per_part))
+
+    def buffers(*tail: int, wanted: bool = True) -> list:
+        """One (*part's leading axes, *tail) array per part, allocated here."""
+        return [np.empty((*q.data[part].shape[:-2], *tail)) if wanted else None for part in parts]
+
     kt = np.swapaxes(k.data, -1, -2)
     row_max = np.empty((*lead, m, 1))
     row_sum = np.empty((*lead, m, 1))
     out = Tensor(np.empty((*lead, m, v.shape[-1])))
 
-    def probabilities(b: slice) -> np.ndarray:
-        p = np.matmul(q.data[..., b, :], kt)
-        p -= row_max[..., b, :]
-        np.exp(p, out=p)
-        p /= row_sum[..., b, :]
-        return p
+    def scores(part, b: slice, buf: np.ndarray) -> np.ndarray:
+        qb = q.data[part][..., b, :]
+        return np.matmul(qb, kt[part], out=_first(buf, (*qb.shape[:-1], n)))
 
-    for b in blocks:
-        s = np.matmul(q.data[..., b, :], kt)
-        np.max(s, axis=-1, keepdims=True, out=row_max[..., b, :])
-        s -= row_max[..., b, :]
-        np.exp(s, out=s)
-        np.sum(s, axis=-1, keepdims=True, out=row_sum[..., b, :])
-        s /= row_sum[..., b, :]
-        out.data[..., b, :] = np.matmul(s, v.data)
+    def forward(part, buf: np.ndarray) -> None:
+        mx, sm = row_max[part], row_sum[part]
+        for b in blocks:
+            s = scores(part, b, buf)
+            np.max(s, axis=-1, keepdims=True, out=mx[..., b, :])
+            s -= mx[..., b, :]
+            np.exp(s, out=s)
+            np.sum(s, axis=-1, keepdims=True, out=sm[..., b, :])
+            s /= sm[..., b, :]
+            np.matmul(s, v.data[part], out=out.data[part][..., b, :])
+
+    run(forward, buffers(rows, n))
 
     def backward():
         g = out.grad
         need_scores = q.requires_grad or k.requires_grad
         d = np.sum(g * out.data, axis=-1, keepdims=True) if need_scores else None
         vt = np.swapaxes(v.data, -1, -2)
-        gq = np.empty(q.shape) if q.requires_grad else None
-        gk = gv = None
-        for b in blocks:
-            p = probabilities(b)
-            gb = g[..., b, :]
-            if v.requires_grad:
-                part = np.matmul(np.swapaxes(p, -1, -2), gb)
-                gv = part if gv is None else np.add(gv, part, out=gv)
-            if not need_scores:
-                continue
-            ds = np.matmul(gb, vt)
-            ds -= d[..., b, :]
-            ds *= p
-            if q.requires_grad:
-                gq[..., b, :] = np.matmul(ds, k.data)
-            if k.requires_grad:
-                part = np.matmul(np.swapaxes(ds, -1, -2), q.data[..., b, :])
-                gk = part if gk is None else np.add(gk, part, out=gk)
+        gq, gk, gv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
+        several = len(blocks) > 1
+
+        def part_backward(part, p_buf, ds_buf, gk_buf, gv_buf) -> None:
+            for i, b in enumerate(blocks):
+                p = scores(part, b, p_buf)  # the forward's probabilities, recomputed
+                p -= row_max[part][..., b, :]
+                np.exp(p, out=p)
+                p /= row_sum[part][..., b, :]
+                gb = g[part][..., b, :]
+                if gv is not None:
+                    _add_matmul(gv[part], np.swapaxes(p, -1, -2), gb, i == 0, gv_buf)
+                if not need_scores:
+                    continue
+                ds = np.matmul(gb, vt[part], out=_first(ds_buf, p.shape))
+                ds -= d[part][..., b, :]
+                ds *= p
+                if gq is not None:
+                    np.matmul(ds, k.data[part], out=gq[part][..., b, :])
+                if gk is not None:
+                    _add_matmul(gk[part], np.swapaxes(ds, -1, -2), q.data[part][..., b, :], i == 0,
+                                gk_buf)
+
+        run(part_backward, buffers(rows, n), buffers(rows, n, wanted=need_scores),
+            buffers(n, k.shape[-1], wanted=gk is not None and several),
+            buffers(n, v.shape[-1], wanted=gv is not None and several))
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(t, grad)

@@ -191,6 +191,26 @@ class TestTrainEval:
         assert run("train", "--data", stem, "--out", tmp_path / "run", *TINY_FLAGS) == 2
         assert f"error: {tmp_path / 'toy.meta'}: {message}" in capsys.readouterr().err
 
+    def test_missing_edges_file_rejected(self, tmp_path, capsys):
+        assert run("train", "--data", tmp_path / "nope", "--out", tmp_path / "run", *TINY_FLAGS) == 2
+        assert f"error: {tmp_path / 'nope.edges'}: no such dataset file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["config.txt", "model.ckpt"])
+    def test_eval_rejects_run_without_file(self, tmp_path, tiny_dataset, capsys, name):
+        run_dir = tmp_path / "run"
+        run("train", "--data", tiny_dataset, "--out", run_dir, *TINY_FLAGS)
+        (run_dir / name).unlink()
+        assert run("eval", "--run", run_dir, "--out", tmp_path / "eval") == 2
+        assert f"error: {run_dir}: not a training run (no {name})" in capsys.readouterr().err
+
+    def test_eval_from_another_directory(self, tmp_path, tiny_dataset, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--data", "data/tiny", "--out", "run", *TINY_FLAGS) == 0
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run("eval", "--run", "../run", "--out", "eval") == 0
+        assert (tmp_path / "elsewhere" / "eval" / "eval_random.json").exists()
+
     def test_eval_line_reports_fallbacks(self, tmp_path, capsys):
         # nodes 10 and 11 first appear in the last (test) snapshot: u=10 of the
         # positive (10, 11) has an empty history pool; every other u has one

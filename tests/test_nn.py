@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -289,6 +293,21 @@ class TestAttention:
                                     rows=(np.zeros((2, 3), int), np.zeros((2, 3), int)))
 
 
+class RecordingPool(nn._Pool):
+    """A pool that counts the calls that hand parts to its threads."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.calls = 0
+        map_parts = self.executor.map
+
+        def counted(*args):
+            self.calls += 1
+            return map_parts(*args)
+
+        self.executor.map = counted
+
+
 class TestAttentionKernel:
     @staticmethod
     def _inputs(seed, lead=(3, 2), m=11, n=7, dh=4, dv=5):
@@ -343,8 +362,10 @@ class TestAttentionKernel:
         for t, start, grad in zip((q, k, v), held, fresh):
             assert_rel_close(t.grad, start + grad)
 
-    def test_memory_stays_below_one_score_array(self):
-        # 2,000 tokens and 2 heads: one (2, 2000, 2000) float64 array is 61 MiB
+    def test_memory_stays_below_one_score_array(self, monkeypatch):
+        # 2,000 tokens and 2 heads: one (2, 2000, 2000) float64 array is 61 MiB;
+        # each head runs on its own worker of a two-worker pool
+        monkeypatch.setattr(nn, "_POOL", nn._Pool(2))
         rng = np.random.default_rng(22)
         store = ParameterStore(0)
         params = nn.init_attention(store, "attn", 8)
@@ -358,6 +379,71 @@ class TestAttentionKernel:
             tracemalloc.stop()
         assert x.grad is not None and np.isfinite(x.grad).all()
         assert peak < 2 * 2000 * 2000 * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("lead, m, n, workers, block, pooled", [
+        ((2,), 40, 30, 2, 2 * 30 * 7, True),  # one head per worker, 6 blocks
+        ((3,), 23, 17, 2, 3 * 17 * 4, True),  # uneven: 1 and 2 heads
+        ((5, 2), 9, 6, 2, 10 * 6 * 2, True),
+        ((5, 2), 9, 6, 3, 10 * 6 * 2, True),  # parts of 1, 2 and 2
+        ((3,), 9, 50, 2, 10, True),  # one query row per block
+        ((4,), 1, 300, 3, 1000, True),  # one block of one row, above the block size
+        ((1,), 11, 7, 2, 10, False),  # leading axis 0 has one entry
+        ((), 11, 7, 2, 10, False),  # 2-D inputs
+        ((3, 2), 11, 7, 2, None, False),  # one block
+    ], ids=["heads", "uneven", "lead-5x2", "lead-5x2-3-workers", "row-blocks", "one-row",
+            "lead-1", "2-d", "one-block"])
+    def test_pooled_is_bit_identical_to_one_worker(self, monkeypatch, lead, m, n, workers, block,
+                                                   pooled):
+        if block is not None:
+            monkeypatch.setattr(nn, "ATTENTION_BLOCK", block)
+        q, k, v = self._inputs(len(lead) + m, lead=lead, m=m, n=n)
+        g_out = np.random.default_rng(23).standard_normal((*lead, m, 5))
+        runs = []
+        for count in (1, workers):
+            pool = RecordingPool(count)
+            monkeypatch.setattr(nn, "_POOL", pool)
+            runs.append(self._run(q, k, v, g_out))
+            pool.executor.shutdown()
+            # one call for the forward and one for the backward, or none at all
+            assert pool.calls == (2 if pooled and count > 1 else 0)
+        (out, grads), (p_out, p_grads) = runs
+        assert np.array_equal(p_out, out)
+        for name, grad, ref in zip("qkv", p_grads, grads):
+            assert np.array_equal(grad, ref), f"d{name}"
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, slate, slate.nn; "
+                "print(threading.active_count(), slate.nn._POOL is None)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "True"]
+
+    def test_forked_child_runs_pooled_attention(self, monkeypatch):
+        # a pool copied across fork has no threads: submitting to it would wait
+        # forever, so the child must make its own
+        monkeypatch.setattr(nn, "ATTENTION_BLOCK", 6 * 7 * 2)
+        monkeypatch.setattr(nn, "_POOL", nn._Pool(2))
+        q, k, v = self._inputs(8)
+        g_out = np.ones((3, 2, 11, 5))
+        out, grads = self._run(q, k, v, g_out)
+        parent_pool = nn._POOL
+
+        def child():
+            c_out, c_grads = self._run(q, k, v, g_out)
+            fresh = nn._POOL is not parent_pool and nn._POOL.pid == os.getpid()
+            same = np.array_equal(c_out, out) and all(map(np.array_equal, c_grads, grads))
+            os._exit(0 if fresh and same else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("forked child hung in pooled attention")
+        assert proc.exitcode == 0
+        parent_pool.executor.shutdown()
 
     @pytest.mark.parametrize("shapes", [
         ((2, 3, 4), (3, 5, 4), (3, 5, 4)),  # leading axes differ
