@@ -34,15 +34,23 @@ class Snapshot:
 
     @staticmethod
     def from_edges(num_nodes: int, edges) -> "Snapshot":
-        canon = frozenset(_canonical(u, v) for u, v in edges)
-        deg = np.zeros(num_nodes, dtype=np.int64)
-        for u, v in canon:
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v}) not allowed in a snapshot")
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise NodeBoundsError(f"edge ({u},{v}) outside [0,{num_nodes})")
-            deg[u] += 1
-            deg[v] += 1
+        """The snapshot of edges, (u, v) pairs or an (E, 2) integer array;
+        an edge given twice, in either orientation, counts once."""
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        if np.any(lo == hi):
+            i = np.argmax(lo == hi)
+            raise ValueError(f"self-loop ({lo[i]},{hi[i]}) not allowed in a snapshot")
+        if np.any((lo < 0) | (hi >= num_nodes)):
+            i = np.argmax((lo < 0) | (hi >= num_nodes))
+            raise NodeBoundsError(f"edge ({lo[i]},{hi[i]}) outside [0,{num_nodes})")
+        canon = frozenset(zip(lo.tolist(), hi.tolist()))
+        if len(canon) < len(lo):
+            lo, hi = np.array(sorted(canon), dtype=np.int64).T
+        deg = np.bincount(lo, minlength=num_nodes) + np.bincount(hi, minlength=num_nodes)
         deg.flags.writeable = False
         return Snapshot(num_nodes, canon, deg)
 
@@ -309,7 +317,7 @@ def generate_sbm(
     snaps = []
     for _ in range(t):
         keep = rng.random(len(pairs)) < prob
-        snaps.append(Snapshot.from_edges(n, map(tuple, pairs[keep])))
+        snaps.append(Snapshot.from_edges(n, pairs[keep]))
     return DynamicGraph(n, tuple(snaps))
 
 
@@ -359,7 +367,7 @@ def generate_sbm_churn(
         carried = prev_keep & (rng.random(len(pairs)) < edge_persist)
         fresh = rng.random(len(pairs)) < prob * (1.0 - edge_persist)
         keep = (carried | fresh) & both_active
-        snaps.append(Snapshot.from_edges(n, map(tuple, pairs[keep])))
+        snaps.append(Snapshot.from_edges(n, pairs[keep]))
         prev_keep = keep
         flips = rng.random(n)
         active = np.where(active, flips >= p_off, flips < p_on)

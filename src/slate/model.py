@@ -25,8 +25,6 @@ from .dtdg import DynamicGraph, Snapshot, Window
 from .errors import ConfigError, NodeBoundsError
 from .nn import ParameterStore, Tensor
 from .spectral import (
-    _dense_eigenpairs,
-    canonicalize_signs,
     normalized_laplacian,
     raw_encoding,
     smallest_eigenpairs,
@@ -184,10 +182,12 @@ def time_encoding(t: int, d_time: int) -> np.ndarray:
     return np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def _snapshot_lap_pe(snap: Snapshot, k: int) -> tuple[np.ndarray, bool]:
+def _snapshot_lap_pe(snap: Snapshot, k: int, eig_method: str = "auto") -> tuple[np.ndarray, bool]:
     """First k non-trivial eigenvector entries of the snapshot's normalized
     Laplacian, computed on its non-isolated subgraph; zero rows for isolated
-    nodes, zero-padded columns when the subgraph is too small."""
+    nodes, zero-padded columns when the subgraph is too small. On a subgraph
+    with several components the first columns are the components' null
+    vectors (see smallest_eigenpairs)."""
     out = np.zeros((snap.num_nodes, k))
     alive = ~snap.isolation_mask()
     m = int(alive.sum())
@@ -195,15 +195,13 @@ def _snapshot_lap_pe(snap: Snapshot, k: int) -> tuple[np.ndarray, bool]:
         return out, True
     position = np.cumsum(alive) - 1  # row of each alive node in the subgraph
     lap = normalized_laplacian(symmetric_adjacency(m, position[snap.edge_array()]))
-    _, vecs = _dense_eigenpairs(lap, min(k + 1, m))
     avail = min(k, m - 1)
-    if avail > 0:
-        out[alive, :avail] = canonicalize_signs(vecs[:, 1:1 + avail])
+    out[alive, :avail] = smallest_eigenpairs(lap, avail, method=eig_method).eigenvectors
     return out, avail < k
 
 
 def lap_pe_time_encoding(
-    snapshots: list[Snapshot], k: int, d_time: int, members
+    snapshots: list[Snapshot], k: int, d_time: int, members, eig_method: str = "auto"
 ) -> BaselineEncodingTable:
     """Naive baseline: per-snapshot Laplacian eigenvector entries next to a
     sinusoidal code of the snapshot's absolute index."""
@@ -211,7 +209,7 @@ def lap_pe_time_encoding(
     table = np.zeros((len(snapshots), n, k + d_time))
     padded = 0
     for tau, snap in enumerate(snapshots):
-        pe, short = _snapshot_lap_pe(snap, k)
+        pe, short = _snapshot_lap_pe(snap, k, eig_method)
         padded += int(short)
         table[tau, :, :k] = pe
         table[tau, :, k:] = time_encoding(int(members[tau]), d_time)
@@ -233,8 +231,9 @@ def compute_window_encoding(
     vn_fallback_link: bool = False,
 ):
     """Per-(node, window position) features for one window, by encoding kind.
-    d_time is read by the LapPE baseline only, vn_fallback_link by the
-    transformed graph only (see build_supra)."""
+    eig_method is passed to every eigensolve, d_time is read by the LapPE
+    baseline only, vn_fallback_link by the transformed graph only (see
+    build_supra)."""
     snapshots = [g.snapshots[t] for t in window.members]
     kind = encoding_kind(kind)
     if kind == EncodingKind.SLATE:
@@ -246,4 +245,4 @@ def compute_window_encoding(
         lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
         basis = smallest_eigenpairs(lap, k, method=eig_method, discard_trivial=False)
         return raw_encoding(basis, sg)
-    return lap_pe_time_encoding(snapshots, k, d_time, window.members)  # LAPPE_TIME
+    return lap_pe_time_encoding(snapshots, k, d_time, window.members, eig_method)  # LAPPE_TIME

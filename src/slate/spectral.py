@@ -1,10 +1,12 @@
 """Spectrum of the normalized multi-layer Laplacian and per-(node,time) features.
 
 The symmetric-normalized Laplacian of the multi-layer graph has its spectrum in
-[0, 2]; for a connected graph exactly one eigenvalue is (numerically) zero and
-the next one is strictly positive. The k smallest non-trivial eigenpairs give
-every (node, time) slot a feature vector: its k eigenvector entries followed by
-the k eigenvalues, with a zero projection half for slots that were isolated and
+[0, 2], with one zero eigenvalue per connected component. That null space is
+never solved for: its basis is written down, one vector D^{1/2} 1 per component
+in order of the component's lowest row, with eigenvalue exactly 0.0, so every
+solver returns the same one. The k smallest non-trivial eigenpairs give every
+(node, time) slot a feature vector: its k eigenvector entries followed by the k
+eigenvalues, with a zero projection half for slots that were isolated and
 therefore have no row in the graph (rows[tau, u] == -1). normalized_laplacian
 takes a bare adjacency, so the per-snapshot LapPE baseline builds its Laplacian
 here too.
@@ -42,7 +44,7 @@ class NormalizedSupraLaplacian:
 class SpectralBasis:
     """k smallest non-trivial eigenpairs, unit-norm and sign-canonical.
 
-    lambda0 is the discarded trivial eigenvalue (None when nothing was
+    lambda0 is the discarded trivial eigenvalue, 0.0 (None when nothing was
     discarded, as in the raw disconnected variant).
     """
 
@@ -92,46 +94,44 @@ def canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _null_space(lap: NormalizedSupraLaplacian, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Null vectors of the first min(components, count) components, and every
+    row's component label and weight z, which span the whole null space."""
+    num_comp, labels = connected_components(lap.matrix, directed=False)
+    z = np.where(lap.degree > 0, np.sqrt(lap.degree), 1.0)
+    z /= np.sqrt(np.bincount(labels, weights=z * z))[labels]
+    null_vecs = np.zeros((lap.size, min(num_comp, count)))
+    rows = np.flatnonzero(labels < null_vecs.shape[1])
+    null_vecs[rows, labels[rows]] = z[rows]
+    return null_vecs, labels, z
+
+
 def _dense_eigenpairs(lap: NormalizedSupraLaplacian, count: int) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh(lap.matrix.toarray(), subset_by_index=[0, count - 1], driver="evr",
                              overwrite_a=True)
 
 
-def _arpack_eigenpairs(
-    lap: NormalizedSupraLaplacian, count: int, tol: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Null space from the components, the rest from scipy eigsh; see
-    smallest_eigenpairs for the rules."""
+def _arpack_eigenpairs(lap: NormalizedSupraLaplacian, count: int, labels: np.ndarray, z: np.ndarray,
+                       tol: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count smallest eigenpairs above the null space that labels and z
+    span, from scipy eigsh; see smallest_eigenpairs for the rules."""
     n = lap.size
-    # One zero eigenvalue per component, with eigenvector D^{1/2} 1 on it (e_i
-    # on an isolated row). A Krylov method finds only one copy of a repeated
-    # eigenvalue reliably, so the null space is written down instead of solved.
-    num_comp, labels = connected_components(lap.matrix, directed=False)
-    z = np.where(lap.degree > 0, np.sqrt(lap.degree), 1.0)
-    z /= np.sqrt(np.bincount(labels, weights=z * z))[labels]
-    zeros = min(num_comp, count)
-    null_vecs = np.zeros((n, zeros))
-    rows = np.flatnonzero(labels < zeros)
-    null_vecs[rows, labels[rows]] = z[rows]
-    if zeros == count:
-        return np.zeros(count), null_vecs
 
     def shifted(v):  # L + 3 Z Z^T: the null space moves above the spectrum [0, 2]
         v = v.ravel()
-        return lap.matrix @ v + 3.0 * z * np.bincount(labels, weights=z * v, minlength=num_comp)[labels]
+        return lap.matrix @ v + 3.0 * z * np.bincount(labels, weights=z * v)[labels]
 
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         vals, vecs = eigsh(LinearOperator((n, n), matvec=shifted, dtype=np.float64),
-                           k=count - zeros, which="SA", v0=v0, tol=0)
+                           k=count, which="SA", v0=v0, tol=0)
     except ArpackNoConvergence as exc:
         residuals = _residuals(lap, exc.eigenvalues, exc.eigenvectors)
         raise ConvergenceError(f"ARPACK did not converge: {exc}", residuals=residuals) from exc
     except ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from exc
     order = np.argsort(vals)
-    vals = np.concatenate([np.zeros(zeros), vals[order]])
-    vecs = np.hstack([null_vecs, vecs[:, order]])
+    vals, vecs = vals[order], vecs[:, order]
     residuals = _residuals(lap, vals, vecs)
     if np.any(residuals > max(tol, 1e-8 * n)):
         raise ConvergenceError(
@@ -153,26 +153,24 @@ def smallest_eigenpairs(
     seed: int = 0,
     discard_trivial: bool = True,
 ) -> SpectralBasis:
-    """k smallest non-trivial eigenpairs: computes k+1, discards the trivial one.
+    """k smallest non-trivial eigenpairs: computes k+1 (k with
+    discard_trivial=False, which keeps them all and sets lambda0 to None).
 
-    method "dense" is the exact path: LAPACK ?syevr (scipy.linalg.eigh with
-    subset_by_index) on the dense matrix, which computes only the k+1 wanted
-    pairs (k with discard_trivial=False), not the whole spectrum.
-    "lanczos" writes the null space down, one vector D^{1/2} 1 per connected
-    component in order of its lowest row, and gets the remaining pairs from
-    ARPACK's implicitly restarted Lanczos (scipy eigsh, smallest algebraic) on
-    L with that null space shifted above the spectrum, from a start vector
-    drawn from seed and converged to machine precision. Its pairs are accepted
-    only if every residual ||L v - lambda v|| is at most max(tol, 1e-8 * size);
-    otherwise, or when ARPACK fails, it raises ConvergenceError. Like any
-    single-vector Krylov method it may miss a copy of a repeated non-zero
-    eigenvalue. "auto" picks dense up to DENSE_CUTOFF rows, lanczos above.
-
-    With discard_trivial=False the k smallest are returned as they are and
-    lambda0 is None. The raw disconnected stacking has one zero eigenvalue per
-    component, often far more than k; any orthonormal basis of that null space
-    is then a valid answer, the dense path returns an arbitrary one, and sign
-    canonicalization cannot undo a rotation inside it.
+    The null space is written down, not solved: one eigenvalue of exactly 0.0
+    per connected component, with eigenvector D^{1/2} 1 on it (e_i on an
+    isolated row), in order of the component's lowest row. Any orthonormal
+    basis of it is valid and sign canonicalization cannot undo a rotation
+    inside it, so this one rule makes the features the same for every solver.
+    Nothing is solved when it covers every wanted pair. Otherwise "dense" runs
+    LAPACK ?syevr (scipy.linalg.eigh with subset_by_index) for the wanted pairs
+    only and puts the null vectors in its first columns; "lanczos" gets the
+    pairs above the null space from ARPACK (scipy eigsh, smallest algebraic) on
+    L with the null space shifted above the spectrum, from a start vector drawn
+    from seed, to machine precision. Its pairs are accepted only if every
+    residual ||L v - lambda v|| is at most max(tol, 1e-8 * size); otherwise, or
+    when ARPACK fails, it raises ConvergenceError. Like any single-vector
+    Krylov method it may miss a copy of a repeated non-zero eigenvalue. "auto"
+    picks dense up to DENSE_CUTOFF rows, lanczos above.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -183,20 +181,22 @@ def smallest_eigenpairs(
         raise ConfigError("tol must be positive")
     if method == "auto":
         method = "dense" if lap.size <= DENSE_CUTOFF else "lanczos"
-    if method == "dense":
-        vals, vecs = _dense_eigenpairs(lap, count)
-    elif method == "lanczos":
-        vals, vecs = _arpack_eigenpairs(lap, count, tol, seed)
-    else:
+    if method not in ("dense", "lanczos"):
         raise ConfigError(f"unknown eigensolver method {method!r}")
+    null_vecs, labels, z = _null_space(lap, count)
+    zeros = null_vecs.shape[1]
+    if zeros == count:
+        vals, vecs = np.zeros(count), null_vecs
+    elif method == "dense":
+        vals, vecs = _dense_eigenpairs(lap, count)
+        vals[:zeros], vecs[:, :zeros] = 0.0, null_vecs
+    else:
+        vals, vecs = _arpack_eigenpairs(lap, count - zeros, labels, z, tol, seed)
+        vals, vecs = np.concatenate([np.zeros(zeros), vals]), np.hstack([null_vecs, vecs])
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    if not discard_trivial:
-        return SpectralBasis(eigenvalues=vals.copy(), eigenvectors=canonicalize_signs(vecs), lambda0=None)
-    return SpectralBasis(
-        eigenvalues=vals[1:].copy(),
-        eigenvectors=canonicalize_signs(vecs[:, 1:]),
-        lambda0=float(vals[0]),
-    )
+    lead = int(discard_trivial)
+    return SpectralBasis(eigenvalues=vals[lead:].copy(), eigenvectors=canonicalize_signs(vecs[:, lead:]),
+                         lambda0=float(vals[0]) if discard_trivial else None)
 
 
 def smallest_eigenpairs_raw(

@@ -74,6 +74,14 @@ class TestGenerate:
         assert "error: need n >= 1, t >= 1, num_blocks >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_missing_config_file_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "nope.cfg"
+        assert run(command, "--config", cfg, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: cannot read config file (FileNotFoundError)")
+        assert "Traceback" not in err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("kind = er\nn = 6\nt = 2\nbogus_knob = 3\n")

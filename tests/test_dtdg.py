@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -240,6 +241,79 @@ class TestWindows:
 def test_snapshot_rejects_out_of_range_edge():
     with pytest.raises(NodeBoundsError):
         Snapshot.from_edges(3, [(0, 5)])
+    with pytest.raises(NodeBoundsError, match=r"edge \(-1,2\) outside \[0,3\)"):
+        Snapshot.from_edges(3, [(0, 1), (2, -1)])
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (2, 2)], np.array([[1, 0], [4, 4]])])
+def test_snapshot_rejects_self_loop(edges):
+    with pytest.raises(ValueError, match=r"self-loop \((2,2|4,4)\)"):
+        Snapshot.from_edges(5, edges)
+
+
+def test_snapshot_rejects_edges_that_are_not_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        Snapshot.from_edges(5, [(0, 1, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1]),
+                max_size=40))
+def test_snapshot_matches_per_edge_construction(edges):
+    # repeats in either orientation count once, for the edge set and degrees
+    canon = {(min(u, v), max(u, v)) for u, v in edges}
+    degree = np.zeros(8, dtype=np.int64)
+    for u, v in canon:
+        degree[u] += 1
+        degree[v] += 1
+    for given_edges in (edges, np.array(edges, dtype=np.int32).reshape(-1, 2), iter(edges)):
+        snap = Snapshot.from_edges(8, given_edges)
+        assert snap.edges == canon
+        assert snap.degree.dtype == np.int64 and np.array_equal(snap.degree, degree)
+        assert not snap.degree.flags.writeable
+
+
+def graph_digest(graphs) -> str:
+    """sha256 over every snapshot's sorted edges, its edges in iteration order
+    (which the pair sampler follows) and its degrees."""
+    h = hashlib.sha256()
+    for g in graphs:
+        for snap in g.snapshots:
+            h.update(np.array(snap.sorted_edges(), dtype=np.int64).reshape(-1, 2).tobytes())
+            h.update(snap.edge_array().tobytes())
+            h.update(snap.degree.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+# The generator settings of C6, C7, the bench workloads and `slate generate`,
+# with the digests their graphs had before snapshots were built from arrays.
+GENERATED = {
+    "c6": (generate_sbm, dict(n=50, num_blocks=2, p_in=0.5, p_out=0.05, t=10), range(3)),
+    "c7": (generate_sbm_churn, dict(n=50, num_blocks=2, p_in=0.35, p_out=0.35, t=14, active_prob=0.5,
+                                    flip_prob=0.05, edge_persist=0.6), range(3, 6)),
+    "encode-grid": (generate_sbm_churn, dict(n=400, num_blocks=4, p_in=0.024, p_out=0.0035, t=10),
+                    range(3)),
+    "scale-train": (generate_sbm_churn, dict(n=1000, num_blocks=4, p_in=0.016, p_out=0.002, t=7),
+                    range(1)),
+    "cli-er": (generate_erdos_renyi, dict(n=12, p=0.05, t=2), range(5, 8)),
+    "cli-churn-drift": (generate_sbm_churn, dict(n=30, num_blocks=3, p_in=0.5, p_out=0.05, t=6,
+                                                 drift_prob=0.1, edge_persist=0.3), range(3)),
+}
+
+GENERATED_DIGESTS = {
+    "c6": "45cd1baba6f3c23eacbf92807e21b213ee7add6fa2b4143bd75c5089acde2b5a",
+    "c7": "64c6d3e550ee66f5e1ac56558c0caa342f395abd351e46630e81a90e7767f36e",
+    "encode-grid": "1707718bfa877500f9132f9e9359db8b8d08b3f750ff09601b7a3bcc8bc3c5b2",
+    "scale-train": "a461aeb2d4910977feb770e6effc9bfaedb7a6c0384a5529f0bf91c49ce63c27",
+    "cli-er": "6509b7417a0581a126dc89300f5d7f527e18a26506f4bbde78a2848a930a2ab3",
+    "cli-churn-drift": "b6acbf82ae8e6bbd845b8e98338e4614dd31260d072059ee76534b249a33ceb6",
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_graphs_are_unchanged(name):
+    generate, kwargs, seeds = GENERATED[name]
+    assert graph_digest(generate(seed=seed, **kwargs) for seed in seeds) == GENERATED_DIGESTS[name]
 
 
 def test_dynamic_graph_needs_a_snapshot():

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from slate import nn
 from slate.dtdg import Snapshot, generate_erdos_renyi, generate_sbm_churn, window_of
@@ -317,32 +316,62 @@ class TestBaselineEncoding:
         assert np.allclose(table.matrix[0, :, 1:3], 0.0)
 
     def test_snapshot_lap_pe_matches_reference(self):
-        # the dense Laplacian of the non-isolated subgraph, built edge by edge
+        # Oracle: the dense Laplacian of the non-isolated subgraph built edge by
+        # edge, its full np.linalg.eigh, and a null space written down by hand:
+        # one unit vector sqrt(deg) per component, found by a search from each
+        # lowest unvisited node. Solved columns are compared up to sign, since
+        # symmetric eigenvectors can tie in magnitude.
         def reference(snap, k):
             out = np.zeros((snap.num_nodes, k))
             alive = np.flatnonzero(~snap.isolation_mask())
             m = len(alive)
             if m == 0:
-                return out, True
+                return out, True, 0
             pos = {int(u): i for i, u in enumerate(alive)}
             a = np.zeros((m, m))
             for u, v in snap.edges:
                 a[pos[u], pos[v]] = a[pos[v], pos[u]] = 1.0
-            dinv = 1.0 / np.sqrt(a.sum(axis=1))
-            _, vecs = scipy.linalg.eigh(np.eye(m) - a * dinv[:, None] * dinv[None, :],
-                                        subset_by_index=[0, min(k + 1, m) - 1], driver="evr")
+            deg = a.sum(axis=1)
+            components, seen = [], set()
+            for start in range(m):
+                if start not in seen:
+                    stack, members = [start], []
+                    seen.add(start)
+                    while stack:
+                        i = stack.pop()
+                        members.append(i)
+                        for j in np.flatnonzero(a[i]):
+                            if int(j) not in seen:
+                                seen.add(int(j))
+                                stack.append(int(j))
+                    components.append(members)
+            vals, vecs = np.linalg.eigh(np.eye(m) - a / np.sqrt(np.outer(deg, deg)))
             avail = min(k, m - 1)
-            if avail > 0:
-                out[alive, :avail] = canonicalize_signs(vecs[:, 1:1 + avail])
-            return out, avail < k
+            zeros = min(len(components), avail + 1)
+            basis = vecs[:, :avail + 1].copy()
+            for c in range(zeros):
+                basis[:, c] = 0.0
+                basis[components[c], c] = np.sqrt(deg[components[c]] / deg[components[c]].sum())
+            # the solved columns are simple eigenvalues above the null space
+            assert np.all(np.diff(vals[len(components) - 1:avail + 2]) > 1e-6)
+            out[alive, :avail] = canonicalize_signs(basis[:, 1:])
+            return out, avail < k, zeros - 1
 
         g = generate_sbm_churn(40, 2, 0.2, 0.02, 6, seed=1)
-        snaps = [*g.snapshots, Snapshot.from_edges(5, [(0, 1)]), Snapshot.from_edges(4, [])]
+        snaps = [*g.snapshots, Snapshot.from_edges(5, [(0, 1)]), Snapshot.from_edges(4, []),
+                 Snapshot.from_edges(11, [(0, 3), (3, 5), (5, 7), (7, 9), (9, 1), (2, 4), (4, 6), (6, 8)])]
+        indicator_columns = 0
         for snap in snaps:
             for k in (1, 4):
                 pe, short = _snapshot_lap_pe(snap, k)
-                expected, expected_short = reference(snap, k)
-                assert np.array_equal(pe, expected) and short == expected_short
+                expected, expected_short, written = reference(snap, k)
+                assert short == expected_short
+                indicator_columns += written
+                assert np.abs(pe[:, :written] - expected[:, :written]).max(initial=0.0) < 1e-12
+                for j in range(written, k):
+                    assert min(np.abs(pe[:, j] - expected[:, j]).max(),
+                               np.abs(pe[:, j] + expected[:, j]).max()) < 1e-8
+        assert indicator_columns > 0  # some snapshot is disconnected
 
     def test_lap_pe_model_end_to_end(self):
         g = generate_erdos_renyi(6, 0.6, 4, seed=3)

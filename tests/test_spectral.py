@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from scipy.linalg import subspace_angles
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from slate import spectral
-from slate.dtdg import Snapshot, generate_erdos_renyi, generate_sbm_churn, window_of
+from slate.dtdg import DynamicGraph, Snapshot, generate_erdos_renyi, generate_sbm_churn, window_of
 from slate.errors import ConfigError, ConvergenceError
 from slate.model import EncodingKind, _snapshot_lap_pe, compute_window_encoding
 from slate.spectral import (
@@ -15,7 +17,7 @@ from slate.spectral import (
     raw_encoding,
     smallest_eigenpairs,
 )
-from slate.supra import build_block_diagonal, build_supra
+from slate.supra import build_block_diagonal, build_supra, symmetric_adjacency
 
 from test_supra import (
     REFERENCE_WINDOWS,
@@ -437,8 +439,7 @@ class TestAboveDenseCutoff:
     @pytest.mark.parametrize("n, p", [(600, None), (300, 0.05)])
     def test_untransformed_window(self, graph, n, p):
         # The churn window has one zero eigenvalue per component, far more
-        # than k, and an arbitrary basis for them: only eigenvalues and
-        # residuals are compared. The dense ER window has fewer than k.
+        # than k; the dense ER window has fewer than k.
         g = graph if p is None else generate_erdos_renyi(n, p, 2, seed=4)
         window = window_of(g, 2 if p is None else 1, 2)
         lap = normalized_laplacian(
@@ -455,6 +456,108 @@ class TestAboveDenseCutoff:
         assert np.abs(auto.T[:k] @ auto[:, :k] - np.eye(k)).max() < 1e-10
         zeros = int((np.abs(dense[0, k:]) < 1e-10).sum())
         assert (zeros == k) if p is None else (1 < zeros < k)
+
+
+def lap_pe_laplacian(snap):
+    """The normalized Laplacian of a snapshot's non-isolated subgraph."""
+    alive = ~snap.isolation_mask()
+    position = np.cumsum(alive) - 1
+    return normalized_laplacian(symmetric_adjacency(int(alive.sum()), position[snap.edge_array()]))
+
+
+def sparse_windows():
+    """Windows of sparse random graphs: isolated nodes, and snapshots of one
+    to several components, so the null space is degenerate in most of them."""
+    graphs = [generate_erdos_renyi(n, p, 3, seed=seed)
+              for seed, (n, p) in enumerate([(20, 0.08), (30, 0.07), (40, 0.05), (24, 0.12)])]
+    graphs += [generate_sbm_churn(48, 2, 0.2, 0.02, 4, seed=seed) for seed in range(3)]
+    graphs.append(DynamicGraph(12, (
+        Snapshot.from_edges(12, [(0, 3), (3, 5), (5, 7), (7, 9), (9, 1), (2, 4), (4, 6), (6, 8),
+                                 (10, 11), (8, 2)]),
+        Snapshot.from_edges(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (8, 9)]),
+    )))
+    for g in graphs:
+        for t in range(g.num_snapshots):
+            yield g, window_of(g, t, 2)
+
+
+class TestNullSpace:
+    """The null space is written down, one D^{1/2} 1 per component, so the
+    encodings that read it do not depend on the solver or its basis."""
+
+    KINDS = (EncodingKind.SLATE_NO_TRANSFORM, EncodingKind.LAPPE_TIME)
+    K = 4
+
+    @staticmethod
+    def simple_above_null(lap, count):
+        # eigenvalues above the null space among the count + 1 smallest are
+        # simple, so any solver returns their vectors up to sign
+        vals = np.linalg.eigvalsh(lap.matrix.toarray())[:count + 1]
+        return bool(np.all(np.diff(vals[vals > 1e-9]) > 1e-6))
+
+    def test_tables_agree_across_methods(self):
+        # up to the sign of a column whose largest entries tie in magnitude,
+        # which sign canonicalization leaves to rounding
+        def max_diff(a, b):
+            vecs = np.minimum(np.abs(a - b), np.abs(a + b))[..., :self.K].max(axis=1)
+            return max(vecs.max(), np.abs(a - b)[..., self.K:].max())
+
+        checked = 0
+        for g, window in sparse_windows():
+            snaps = [g.snapshots[t] for t in window.members]
+            raw = normalized_laplacian(build_block_diagonal(snaps).adjacency, allow_isolated=True)
+            laps = [lap_pe_laplacian(s) for s in snaps if s.num_edges]
+            if not all(self.simple_above_null(lap, min(self.K + 1, lap.size))
+                       for lap in (raw, *laps)):
+                continue
+            for kind in self.KINDS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # zero-padded LapPE columns
+                    dense, lanczos = (compute_window_encoding(g, window, kind, self.K, eig_method=m).matrix
+                                      for m in ("dense", "lanczos"))
+                assert max_diff(dense, lanczos) < 1e-12
+            checked += 1
+        assert checked >= 12
+
+    def test_tables_ignore_the_dense_null_basis(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        solve = spectral._dense_eigenpairs
+        rotated = []
+
+        def rotating(lap, count):
+            vals, vecs = solve(lap, count)
+            zeros = int((vals < 1e-9).sum())
+            q, _ = np.linalg.qr(rng.standard_normal((zeros, zeros)))
+            vecs[:, :zeros] = vecs[:, :zeros] @ q
+            rotated.append(zeros)
+            return vals, vecs
+
+        for g, window in sparse_windows():
+            for kind in self.KINDS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    expected = compute_window_encoding(g, window, kind, self.K, eig_method="dense").matrix
+                    with monkeypatch.context() as patch:
+                        patch.setattr(spectral, "_dense_eigenpairs", rotating)
+                        table = compute_window_encoding(g, window, kind, self.K, eig_method="dense").matrix
+                assert np.abs(table - expected).max() < 1e-12
+        assert sum(zeros > 1 for zeros in rotated) >= 5  # a degenerate null space was solved
+
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_lap_pe_columns_are_component_indicators(self, method):
+        # six components among the alive nodes, more than k + 1 = 3, in order
+        # of lowest node: path 0-3-6-9, star centred on 4, edge 2-5, and so on
+        edges = [(0, 3), (3, 6), (6, 9), (1, 4), (4, 7), (4, 10), (2, 5), (8, 11), (11, 12),
+                 (12, 8), (13, 14), (16, 17)]
+        g = DynamicGraph(19, (Snapshot.from_edges(19, edges),))
+        table = compute_window_encoding(g, window_of(g, 0, 1), EncodingKind.LAPPE_TIME, 2,
+                                        eig_method=method)
+        pe = table.matrix[0, :, :2]
+        star = np.zeros(19)
+        star[[1, 4, 7, 10]] = np.sqrt(np.array([1.0, 3.0, 1.0, 1.0]) / 6.0)
+        pair = np.zeros(19)
+        pair[[2, 5]] = np.sqrt(0.5)
+        assert np.abs(pe - np.stack([star, pair], axis=1)).max() < 1e-15
 
 
 class TestMethodSelection:
