@@ -3,15 +3,15 @@ fully-connected spatio-temporal transformer."""
 
 from .dtdg import (
     DynamicGraph,
-    EdgeListFormat,
     Snapshot,
     SplitSpec,
     Window,
     generate_erdos_renyi,
     generate_sbm,
     generate_sbm_churn,
-    load_edge_list,
+    load_dataset,
     read_edge_list,
+    save_dataset,
     split_chronological,
     window_of,
     write_edge_list,
@@ -31,9 +31,9 @@ from .supra import SupraGraph, build_supra, verify_connected
 from .training import EvalReport, TrainConfig, evaluate, train
 
 __all__ = [
-    "DynamicGraph", "EdgeListFormat", "Snapshot", "SplitSpec", "Window",
+    "DynamicGraph", "Snapshot", "SplitSpec", "Window",
     "generate_erdos_renyi", "generate_sbm", "generate_sbm_churn",
-    "load_edge_list", "read_edge_list", "split_chronological", "window_of",
+    "load_dataset", "read_edge_list", "save_dataset", "split_chronological", "window_of",
     "write_edge_list",
     "auc", "average_precision",
     "EncodingKind", "SlateModel", "compute_window_encoding",

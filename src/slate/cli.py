@@ -17,17 +17,14 @@ import numpy as np
 from .config import Schema, format_value, parse_bool, read_kv_file, write_echo
 from .dtdg import (
     DynamicGraph,
-    EdgeListFormat,
     SplitSpec,
     generate_erdos_renyi,
     generate_sbm,
     generate_sbm_churn,
-    read_edge_list,
-    read_metadata,
+    load_dataset,
+    save_dataset,
     split_chronological,
     window_of,
-    write_edge_list,
-    write_metadata,
 )
 from .errors import ConfigError, ConnectivityError, DegenerateWindowError, SlateError
 from .nn import load_checkpoint, save_checkpoint
@@ -119,36 +116,6 @@ def _add_flags(sub: argparse.ArgumentParser, schema: Schema) -> None:
         sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=parser, default=None)
 
 
-# ---------------------------------------------------------------------------
-# Dataset I/O
-# ---------------------------------------------------------------------------
-
-
-def load_dataset(stem: str) -> DynamicGraph:
-    """Load `<stem>.edges` with its `<stem>.meta` sidecar when present."""
-    stem = str(stem)
-    if stem.endswith(".edges"):
-        stem = stem[: -len(".edges")]
-    edges_path = Path(stem + ".edges")
-    meta_path = Path(stem + ".meta")
-    if not edges_path.is_file():
-        raise ConfigError(f"{edges_path}: no such dataset file")
-    fmt = EdgeListFormat()
-    if meta_path.exists():
-        meta = read_metadata(meta_path)
-        counts = {}
-        for key in ("num_nodes", "num_snapshots"):
-            if key not in meta:
-                raise ConfigError(f"{meta_path}: missing key {key!r}")
-            try:
-                counts[key] = int(meta[key])
-            except ValueError:
-                raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not an integer") from None
-        fmt = EdgeListFormat(**counts)
-    g, _ = read_edge_list(str(edges_path), fmt)
-    return g
-
-
 def _split_ranges(cfg: dict, g: DynamicGraph):
     if cfg["split"] == "ratio":
         spec = SplitSpec.ratio(cfg["train_frac"], cfg["val_frac"], cfg["test_frac"])
@@ -187,8 +154,7 @@ def cmd_generate(args) -> int:
         raise SlateError(f"unknown dataset kind {kind!r}")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    write_edge_list(g, out / f"{cfg['name']}.edges")
-    write_metadata(g, out / f"{cfg['name']}.meta", name=cfg["name"])
+    save_dataset(g, out, cfg["name"])
     write_echo(cfg, out / "config.txt")
     print(f"wrote {cfg['name']}: {g.num_nodes} nodes, {g.num_snapshots} snapshots -> {out}")
     return 0

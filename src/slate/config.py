@@ -51,10 +51,12 @@ class Schema:
 
 
 def read_kv_file(path) -> dict[str, str]:
+    """The `key = value` lines of a run config or a dataset's `.meta` sidecar;
+    blank and `#` lines are skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read config file ({exc.__class__.__name__})") from exc
+        raise ConfigError(f"cannot read {path} ({exc.__class__.__name__})") from exc
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -7,21 +7,16 @@ construction and safe to share across threads for reading.
 
 from __future__ import annotations
 
-import io
 import os
-import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .config import read_kv_file, write_echo
 from .errors import ConfigError, EdgeListParseError, NodeBoundsError
 
 Edge = tuple[int, int]
-
-
-def _canonical(u: int, v: int) -> Edge:
-    u, v = int(u), int(v)
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -119,50 +114,31 @@ def window_of(g: DynamicGraph, t: int, w: int) -> Window:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list I/O
+# Dataset I/O
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeListFormat:
-    """Declares how to interpret `u v t` lines.
+def read_edge_list(source, num_nodes: int | None = None,
+                   num_snapshots: int | None = None) -> tuple[DynamicGraph, np.ndarray | None]:
+    """Parse `u v t` lines into (graph, ids); source is a text stream or a path.
 
-    one_based shifts node ids and snapshot indices down by one. When num_nodes
-    is given, ids are bounds-checked and kept as-is (missing ids are isolated
-    nodes); otherwise distinct ids are remapped to a dense 0..N-1 range and the
-    remapping is reported. num_snapshots, when given, pads trailing empty
-    snapshots up to that count.
+    Blank and `#` lines are skipped, and so is a first line whose fields are
+    not integers (a header). Self-loop lines are dropped; an edge given more
+    than once in a snapshot, in either orientation, counts once. With
+    num_nodes, ids are bounds-checked and kept (ids absent from the file are
+    isolated nodes) and ids is None. Without it, the distinct ids are mapped to
+    0..N-1 in ascending order and ids is that sorted array: ids[dense] is the
+    original id. num_snapshots, when given, pads trailing empty snapshots up to
+    that count. A path that cannot be read or is not UTF-8 raises ConfigError.
     """
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source, encoding="utf-8") as fh:
+                return read_edge_list(fh, num_nodes, num_snapshots)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {source} ({exc.__class__.__name__})") from exc
 
-    one_based: bool = False
-    num_nodes: int | None = None
-    num_snapshots: int | None = None
-
-
-@dataclass
-class LoadReport:
-    self_loops_dropped: int = 0
-    duplicates_dropped: int = 0
-    remapping: dict[int, int] | None = None  # original id -> dense id, when remapped
-
-
-def read_edge_list(source, fmt: EdgeListFormat = EdgeListFormat()) -> tuple[DynamicGraph, LoadReport]:
-    """Parse `u v t` lines into a DynamicGraph plus a load report.
-
-    Accepts a text stream, a byte stream, or a path. An optional first line that
-    is not three integers is treated as a header and skipped. Duplicate edges
-    (in either orientation) are merged; self-loops are dropped and counted.
-    """
-    if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_edge_list(fh, fmt)
-    if isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-
-    report = LoadReport()
-    triples: list[tuple[int, int, int]] = []
-    t_max = -1  # counts every parsed line, including dropped self-loops
-    shift = 1 if fmt.one_based else 0
+    rows: list[tuple[int, int, int]] = []
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -176,66 +152,45 @@ def read_edge_list(source, fmt: EdgeListFormat = EdgeListFormat()) -> tuple[Dyna
             if line_no == 1:
                 continue  # header line
             raise EdgeListParseError(line_no, f"non-integer field in {line!r}")
-        u, v, t = u - shift, v - shift, t - shift
         if t < 0:
             raise EdgeListParseError(line_no, f"negative snapshot index {t}")
         if u < 0 or v < 0:
             raise EdgeListParseError(line_no, f"negative node id in {line!r}")
-        if fmt.num_nodes is not None and (u >= fmt.num_nodes or v >= fmt.num_nodes):
+        if num_nodes is not None and (u >= num_nodes or v >= num_nodes):
             raise NodeBoundsError(
-                f"line {line_no}: node id {max(u, v)} >= declared num_nodes {fmt.num_nodes}"
-            )
-        t_max = max(t_max, t)
-        if u == v:
-            report.self_loops_dropped += 1
-            continue
-        triples.append((u, v, t))
+                f"line {line_no}: node id {max(u, v)} >= declared num_nodes {num_nodes}")
+        rows.append((u, v, t))
 
-    if fmt.num_nodes is None:
-        ids = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
-        remap = {orig: dense for dense, orig in enumerate(ids)}
-        if any(orig != dense for orig, dense in remap.items()):
-            report.remapping = remap
-        triples = [(remap[u], remap[v], t) for u, v, t in triples]
-        n = len(ids)
-        if n == 0:
-            raise ConfigError("edge list declares no nodes and no num_nodes was given")
-    else:
-        n = fmt.num_nodes
-
-    num_snaps = t_max + 1
-    if fmt.num_snapshots is not None:
-        if fmt.num_snapshots < num_snaps:
+    try:
+        u, v, t = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    except OverflowError:
+        raise ConfigError("edge list has a node id or snapshot index beyond 64 bits") from None
+    num_snaps = int(t.max()) + 1 if len(t) else 0  # self-loop lines count here
+    if num_snapshots is not None:
+        if num_snapshots < num_snaps:
             raise ConfigError(
-                f"declared num_snapshots {fmt.num_snapshots} < max snapshot index {t_max} + 1"
-            )
-        num_snaps = fmt.num_snapshots
+                f"declared num_snapshots {num_snapshots} < max snapshot index {num_snaps - 1} + 1")
+        num_snaps = num_snapshots
     if num_snaps == 0:
         raise ConfigError("edge list is empty and no num_snapshots was given")
-
-    per_t: list[set[Edge]] = [set() for _ in range(num_snaps)]
-    for u, v, t in triples:
-        e = _canonical(u, v)
-        if e in per_t[t]:
-            report.duplicates_dropped += 1
-        else:
-            per_t[t].add(e)
-
-    snaps = tuple(Snapshot.from_edges(n, edges) for edges in per_t)
-    return DynamicGraph(n, snaps), report
-
-
-def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat()) -> DynamicGraph:
-    """Like read_edge_list, but returns the graph alone and warns about drops."""
-    g, report = read_edge_list(source, fmt)
-    if report.self_loops_dropped:
-        warnings.warn(f"dropped {report.self_loops_dropped} self-loop line(s)", stacklevel=2)
-    return g
+    kept = u != v
+    u, v, t = u[kept], v[kept], t[kept]
+    ids = None
+    if num_nodes is None:
+        ids, dense = np.unique(np.concatenate([u, v]), return_inverse=True)
+        if len(ids) == 0:
+            raise ConfigError("edge list declares no nodes and no num_nodes was given")
+        u, v = dense.reshape(2, -1)
+        num_nodes = len(ids)
+    order = np.argsort(t, kind="stable")
+    per_t = np.split(np.stack([u, v], axis=1)[order],
+                     np.searchsorted(t[order], np.arange(1, num_snaps)))
+    return DynamicGraph(num_nodes, tuple(Snapshot.from_edges(num_nodes, e) for e in per_t)), ids
 
 
 def write_edge_list(g: DynamicGraph, sink) -> None:
     """Write `u v t` lines (canonical u<v order, snapshots ascending)."""
-    if isinstance(sink, (str, bytes, os.PathLike)):
+    if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_edge_list(g, fh)
             return
@@ -244,40 +199,37 @@ def write_edge_list(g: DynamicGraph, sink) -> None:
             sink.write(f"{u} {v} {t}\n")
 
 
-def write_metadata(g: DynamicGraph, sink, name: str = "") -> None:
-    """Flat key-value sidecar carrying what an edge list alone cannot."""
-    if isinstance(sink, (str, bytes, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            write_metadata(g, fh, name)
-            return
-    sink.write(f"name = {name}\n")
-    sink.write(f"num_nodes = {g.num_nodes}\n")
-    sink.write(f"num_snapshots = {g.num_snapshots}\n")
+def load_dataset(stem) -> DynamicGraph:
+    """Load `<stem>.edges`, sized by its `<stem>.meta` sidecar when present;
+    a trailing `.edges` on stem is ignored."""
+    stem = str(stem).removesuffix(".edges")
+    edges_path, meta_path = Path(stem + ".edges"), Path(stem + ".meta")
+    if not edges_path.is_file():
+        raise ConfigError(f"{edges_path}: no such dataset file")
+    counts = {}
+    if meta_path.exists():
+        meta = read_kv_file(meta_path)
+        for key in ("num_nodes", "num_snapshots"):
+            if key not in meta:
+                raise ConfigError(f"{meta_path}: missing key {key!r}")
+            try:
+                counts[key] = int(meta[key])
+            except ValueError:
+                raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not an integer") from None
+    return read_edge_list(edges_path, **counts)[0]
 
 
-def read_metadata(source) -> dict[str, str]:
-    if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_metadata(fh)
-    out = {}
-    for line in source:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+def save_dataset(g: DynamicGraph, out, name: str) -> None:
+    """Write `<out>/<name>.edges` and the `<name>.meta` sidecar that carries
+    what an edge list alone cannot: trailing isolated nodes and empty snapshots."""
+    write_edge_list(g, Path(out) / f"{name}.edges")
+    write_echo({"name": name, "num_nodes": g.num_nodes, "num_snapshots": g.num_snapshots},
+               Path(out) / f"{name}.meta")
 
 
 # ---------------------------------------------------------------------------
 # Synthetic generators
 # ---------------------------------------------------------------------------
-
-
-def _pairs(n: int) -> np.ndarray:
-    """All unordered node pairs of [0,n), lexicographic, shape (n*(n-1)/2, 2)."""
-    iu, ju = np.triu_indices(n, k=1)
-    return np.stack([iu, ju], axis=1)
 
 
 def generate_erdos_renyi(n: int, p: float, t: int, seed: int) -> DynamicGraph:
@@ -312,12 +264,12 @@ def generate_sbm(
     _check_block_model(n, num_blocks, p_in, p_out, t)
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
-    pairs = _pairs(n)
-    prob = np.where(block[pairs[:, 0]] == block[pairs[:, 1]], p_in, p_out)
+    i, j = np.triu_indices(n, 1)  # every unordered pair, lexicographic
+    prob = np.where(block[i] == block[j], p_in, p_out)
     snaps = []
     for _ in range(t):
-        keep = rng.random(len(pairs)) < prob
-        snaps.append(Snapshot.from_edges(n, pairs[keep]))
+        keep = rng.random(len(i)) < prob
+        snaps.append(Snapshot.from_edges(n, np.stack([i[keep], j[keep]], axis=1)))
     return DynamicGraph(n, tuple(snaps))
 
 
@@ -354,20 +306,19 @@ def generate_sbm_churn(
             raise ConfigError(f"{name} must be in [0,1]")
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
-    pairs = _pairs(n)
+    i, j = np.triu_indices(n, 1)  # every unordered pair, lexicographic
+    fresh_prob = np.where(block[i] == block[j], p_in, p_out) * (1.0 - edge_persist)
     # Transition rates keeping active_prob stationary: P(off->on) and P(on->off).
     p_on = flip_prob * active_prob
     p_off = flip_prob * (1.0 - active_prob)
     active = rng.random(n) < active_prob
-    prev_keep = np.zeros(len(pairs), dtype=bool)
+    prev_keep = np.zeros(len(i), dtype=bool)
     snaps = []
     for _ in range(t):
-        prob = np.where(block[pairs[:, 0]] == block[pairs[:, 1]], p_in, p_out)
-        both_active = active[pairs[:, 0]] & active[pairs[:, 1]]
-        carried = prev_keep & (rng.random(len(pairs)) < edge_persist)
-        fresh = rng.random(len(pairs)) < prob * (1.0 - edge_persist)
-        keep = (carried | fresh) & both_active
-        snaps.append(Snapshot.from_edges(n, pairs[keep]))
+        carried = prev_keep & (rng.random(len(i)) < edge_persist)
+        fresh = rng.random(len(i)) < fresh_prob
+        keep = (carried | fresh) & active[i] & active[j]
+        snaps.append(Snapshot.from_edges(n, np.stack([i[keep], j[keep]], axis=1)))
         prev_keep = keep
         flips = rng.random(n)
         active = np.where(active, flips >= p_off, flips < p_on)
@@ -375,6 +326,7 @@ def generate_sbm_churn(
             moving = rng.random(n) < drift_prob
             shifts = rng.integers(1, num_blocks, size=n)
             block = np.where(moving, (block + shifts) % num_blocks, block)
+            fresh_prob = np.where(block[i] == block[j], p_in, p_out) * (1.0 - edge_persist)
     return DynamicGraph(n, tuple(snaps))
 
 

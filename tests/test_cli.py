@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slate.cli import load_dataset, main
-from slate.dtdg import read_edge_list, EdgeListFormat
+from slate.cli import main
+from slate.dtdg import load_dataset
 
 
 def run(*args):
@@ -79,7 +79,7 @@ class TestGenerate:
         cfg = tmp_path / "nope.cfg"
         assert run(command, "--config", cfg, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: cannot read config file (FileNotFoundError)")
+        assert err.startswith(f"error: cannot read {cfg} (FileNotFoundError)")
         assert "Traceback" not in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -202,6 +202,16 @@ class TestTrainEval:
     def test_missing_edges_file_rejected(self, tmp_path, capsys):
         assert run("train", "--data", tmp_path / "nope", "--out", tmp_path / "run", *TINY_FLAGS) == 2
         assert f"error: {tmp_path / 'nope.edges'}: no such dataset file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad", [("train", "toy.edges"), ("inspect", "toy.meta")])
+    def test_non_utf8_dataset_file_rejected(self, tmp_path, capsys, command, bad):
+        stem = write_toy_t3(tmp_path)
+        (tmp_path / bad).write_bytes(b"\xff\xfe" + (tmp_path / bad).read_bytes())
+        flags = TINY_FLAGS if command == "train" else ("--t", 2)
+        assert run(command, "--data", stem, "--out", tmp_path / "run", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path / bad} (UnicodeDecodeError)")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["config.txt", "model.ckpt"])
     def test_eval_rejects_run_without_file(self, tmp_path, tiny_dataset, capsys, name):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 
 from slate.dtdg import (
     DynamicGraph,
-    EdgeListFormat,
     Snapshot,
     SplitSpec,
     generate_erdos_renyi,
     generate_sbm,
     generate_sbm_churn,
-    load_edge_list,
+    load_dataset,
     read_edge_list,
+    save_dataset,
     split_chronological,
     window_of,
     write_edge_list,
@@ -39,14 +40,14 @@ def naive_reference_parse(text: str, n: int):
 class TestLoader:
     def test_basic_construction(self):
         text = "0 1 0\n1 2 0\n0 1 1\n"
-        g = load_edge_list(io.StringIO(text), EdgeListFormat(num_nodes=3))
+        g, ids = read_edge_list(io.StringIO(text), num_nodes=3)
+        assert ids is None
         assert g.num_snapshots == 2
         assert g.snapshots[0].edges == {(0, 1), (1, 2)}
         assert g.snapshots[1].edges == {(0, 1)}
 
-    def test_self_loop_dropped_with_warning(self):
-        with pytest.warns(UserWarning, match="1 self-loop"):
-            g = load_edge_list(io.StringIO("2 2 0\n"), EdgeListFormat(num_nodes=3))
+    def test_self_loop_dropped(self):
+        g, _ = read_edge_list(io.StringIO("2 2 0\n"), num_nodes=3)
         assert g.snapshots[0].num_edges == 0
         assert g.snapshots[0].isolation_mask().all()
 
@@ -59,37 +60,33 @@ class TestLoader:
             lines.append(f"{u} {v} {t}")
         text = "\n".join(lines) + "\n"
         expected = naive_reference_parse(text, 8)
-        g, _ = read_edge_list(io.StringIO(text), EdgeListFormat(num_nodes=8))
+        g, _ = read_edge_list(io.StringIO(text), num_nodes=8)
         assert g.num_snapshots == len(expected)
         for t, edges in expected.items():
             assert g.snapshots[t].edges == edges
 
     def test_duplicates_and_orientation_unified(self):
-        g, report = read_edge_list(io.StringIO("0 1 0\n1 0 0\n0 1 0\n"), EdgeListFormat(num_nodes=2))
+        g, _ = read_edge_list(io.StringIO("0 1 0\n1 0 0\n0 1 0\n"), num_nodes=2)
         assert g.snapshots[0].edges == {(0, 1)}
-        assert report.duplicates_dropped == 2
+        assert np.array_equal(g.snapshots[0].degree, [1, 1])
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
-            read_edge_list(io.StringIO("0 1 0\n0 x 0\n"), EdgeListFormat(num_nodes=3))
+            read_edge_list(io.StringIO("0 1 0\n0 x 0\n"), num_nodes=3)
 
     def test_bounds_error_with_declared_n(self):
         with pytest.raises(NodeBoundsError):
-            read_edge_list(io.StringIO("0 5 0\n"), EdgeListFormat(num_nodes=3))
+            read_edge_list(io.StringIO("0 5 0\n"), num_nodes=3)
 
     def test_sparse_ids_remapped_dense(self):
-        g, report = read_edge_list(io.StringIO("10 30 0\n30 50 1\n"))
+        g, ids = read_edge_list(io.StringIO("10 30 0\n30 50 1\n"))
         assert g.num_nodes == 3
-        assert report.remapping == {10: 0, 30: 1, 50: 2}
+        assert ids.tolist() == [10, 30, 50]
         assert g.snapshots[0].edges == {(0, 1)}
         assert g.snapshots[1].edges == {(1, 2)}
 
-    def test_one_based_ids(self):
-        g, _ = read_edge_list(io.StringIO("1 2 1\n"), EdgeListFormat(one_based=True, num_nodes=2))
-        assert g.snapshots[0].edges == {(0, 1)}
-
     def test_header_line_skipped(self):
-        g, _ = read_edge_list(io.StringIO("source target time\n0 1 0\n"), EdgeListFormat(num_nodes=2))
+        g, _ = read_edge_list(io.StringIO("source target time\n0 1 0\n"), num_nodes=2)
         assert g.snapshots[0].edges == {(0, 1)}
 
     def test_round_trip(self):
@@ -97,10 +94,35 @@ class TestLoader:
         buf = io.StringIO()
         write_edge_list(g, buf)
         reloaded, _ = read_edge_list(
-            io.StringIO(buf.getvalue()),
-            EdgeListFormat(num_nodes=g.num_nodes, num_snapshots=g.num_snapshots),
-        )
+            io.StringIO(buf.getvalue()), num_nodes=g.num_nodes, num_snapshots=g.num_snapshots)
         assert reloaded == g
+
+    def test_shuffled_lines_with_reversed_duplicates_load_the_same_graph(self, tmp_path):
+        g = generate_sbm_churn(40, 2, 0.4, 0.05, 6, seed=3)
+        save_dataset(g, tmp_path, "d")
+        lines = (tmp_path / "d.edges").read_text().splitlines()
+        rng = np.random.default_rng(0)
+        reversed_dups = [f"{v} {u} {t}" for u, v, t in (line.split() for line in lines[::3])]
+        shuffled = lines + reversed_dups
+        rng.shuffle(shuffled)
+        (tmp_path / "d.edges").write_text("\n".join(shuffled) + "\n")
+        assert load_dataset(tmp_path / "d") == g
+
+    def test_remapped_ids_are_returned(self):
+        # id 5 appears only in a self-loop line: it is no node, but its snapshot counts
+        g, ids = read_edge_list(io.StringIO("900 7 0\n7 42 1\n5 5 2\n"))
+        assert ids.tolist() == [7, 42, 900]
+        assert g.num_nodes == 3 and g.num_snapshots == 3
+        assert g.snapshots[0].edges == {(0, 2)}
+        assert g.snapshots[1].edges == {(0, 1)}
+        assert g.snapshots[2].num_edges == 0
+
+    def test_meta_line_without_equals_names_file_and_line(self, tmp_path):
+        (tmp_path / "d.edges").write_text("0 1 0\n")
+        (tmp_path / "d.meta").write_text("name = d\nnum_nodes 2\nnum_snapshots = 1\n")
+        message = f"{tmp_path / 'd.meta'}:2: expected 'key = value'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_dataset(tmp_path / "d")
 
 
 class TestGenerators:
