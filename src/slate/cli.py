@@ -27,14 +27,10 @@ from .dtdg import (
     window_of,
 )
 from .errors import ConfigError, ConnectivityError, DegenerateWindowError, SlateError
+from .model import EncodingKind, window_spectrum
 from .nn import load_checkpoint, save_checkpoint
-from .spectral import (
-    normalized_laplacian,
-    projection_csv_lines,
-    raw_encoding,
-    smallest_eigenpairs,
-)
-from .supra import build_block_diagonal, build_supra, count_components
+from .spectral import projection_csv_lines, raw_encoding
+from .supra import count_components
 from .training import TrainConfig, evaluate, train
 
 # ---------------------------------------------------------------------------
@@ -195,13 +191,12 @@ def cmd_inspect(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     g = load_dataset(cfg["data"])
     window = window_of(g, cfg["t"], cfg["w"])
-    snapshots = [g.snapshots[t] for t in window.members]
     summary: dict = {"window": list(window.members), "k": cfg["k"]}
     failed = False
 
     try:
-        sg = build_supra(snapshots, window, vn_fallback_link=cfg["vn_fallback_link"])
-        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), cfg["k"])
+        sg, basis = window_spectrum(g, window, EncodingKind.SLATE, cfg["k"],
+                                    vn_fallback_link=cfg["vn_fallback_link"])
         table = raw_encoding(basis, sg)
         _dump_variant(out, "transformed", sg, basis, table, window.members)
         layer_means = _layer_means(table, sg.masks)
@@ -217,10 +212,9 @@ def cmd_inspect(args) -> int:
         summary["transformed"] = {"error": str(exc)}
         failed = True
 
-    raw_sg = build_block_diagonal(snapshots)
-    raw_lap = normalized_laplacian(raw_sg.adjacency, allow_isolated=True)
-    k_raw = min(cfg["k"], raw_sg.size)
-    raw_basis = smallest_eigenpairs(raw_lap, k_raw, discard_trivial=False)
+    # k is clipped to the stacking's N * w rows, where training would raise
+    k_raw = min(cfg["k"], g.num_nodes * len(window))
+    raw_sg, raw_basis = window_spectrum(g, window, EncodingKind.SLATE_NO_TRANSFORM, k_raw)
     raw_table = raw_encoding(raw_basis, raw_sg)
     _dump_variant(out, "untransformed", raw_sg, raw_basis, raw_table, window.members)
     summary["untransformed"] = {

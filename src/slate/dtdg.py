@@ -21,11 +21,13 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One static graph observed at a single time step."""
+    """One static graph observed at a single time step. edge_array holds the
+    edges as a read-only (E, 2) int64 array: u < v, rows ascending."""
 
     num_nodes: int
     edges: frozenset[Edge]
     degree: np.ndarray = field(compare=False)
+    edge_array: np.ndarray = field(compare=False)
 
     @staticmethod
     def from_edges(num_nodes: int, edges) -> "Snapshot":
@@ -34,8 +36,8 @@ class Snapshot:
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
-        pairs = pairs.reshape(-1, 2)
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        pairs = np.sort(pairs.reshape(-1, 2), axis=1)  # a copy, each row (lo, hi)
+        lo, hi = pairs.T
         if np.any(lo == hi):
             i = np.argmax(lo == hi)
             raise ValueError(f"self-loop ({lo[i]},{hi[i]}) not allowed in a snapshot")
@@ -43,22 +45,17 @@ class Snapshot:
             i = np.argmax((lo < 0) | (hi >= num_nodes))
             raise NodeBoundsError(f"edge ({lo[i]},{hi[i]}) outside [0,{num_nodes})")
         canon = frozenset(zip(lo.tolist(), hi.tolist()))
-        if len(canon) < len(lo):
-            lo, hi = np.array(sorted(canon), dtype=np.int64).T
+        key = lo * num_nodes + hi
+        if np.any(key[1:] <= key[:-1]):  # rows not strictly ascending: sort, drop repeats
+            pairs = np.stack(np.divmod(np.unique(key), num_nodes), axis=1)
+            lo, hi = pairs.T
         deg = np.bincount(lo, minlength=num_nodes) + np.bincount(hi, minlength=num_nodes)
-        deg.flags.writeable = False
-        return Snapshot(num_nodes, canon, deg)
+        deg.flags.writeable = pairs.flags.writeable = False
+        return Snapshot(num_nodes, canon, deg, pairs)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (E, 2) integer array, in no particular order."""
-        return np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
 
     def isolation_mask(self) -> np.ndarray:
         """Boolean vector, true where the node has no incident edge here."""
@@ -94,10 +91,8 @@ class DynamicGraph:
 
 @dataclass(frozen=True)
 class Window:
-    """The last `size` snapshot indices ending at `end`, clipped at the origin."""
+    """Consecutive snapshot indices, ascending."""
 
-    end: int
-    size: int
     members: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -110,7 +105,7 @@ def window_of(g: DynamicGraph, t: int, w: int) -> Window:
         raise ConfigError(f"snapshot index {t} outside [0,{g.num_snapshots})")
     if w < 1:
         raise ConfigError("window size must be >= 1")
-    return Window(end=t, size=w, members=tuple(range(max(0, t - w + 1), t + 1)))
+    return Window(tuple(range(max(0, t - w + 1), t + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +190,7 @@ def write_edge_list(g: DynamicGraph, sink) -> None:
             write_edge_list(g, fh)
             return
     for t, snap in enumerate(g.snapshots):
-        for u, v in snap.sorted_edges():
+        for u, v in snap.edge_array.tolist():
             sink.write(f"{u} {v} {t}\n")
 
 

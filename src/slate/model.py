@@ -25,12 +25,13 @@ from .dtdg import DynamicGraph, Snapshot, Window
 from .errors import ConfigError, NodeBoundsError
 from .nn import ParameterStore, Tensor
 from .spectral import (
+    SpectralBasis,
     normalized_laplacian,
     raw_encoding,
     smallest_eigenpairs,
     smallest_eigenpairs_raw,  # noqa: F401  (bench/spans.py traces it under this name)
 )
-from .supra import build_block_diagonal, build_supra, symmetric_adjacency
+from .supra import SupraGraph, build_block_diagonal, build_supra, symmetric_adjacency
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -194,7 +195,7 @@ def _snapshot_lap_pe(snap: Snapshot, k: int, eig_method: str = "auto") -> tuple[
     if m == 0:
         return out, True
     position = np.cumsum(alive) - 1  # row of each alive node in the subgraph
-    lap = normalized_laplacian(symmetric_adjacency(m, position[snap.edge_array()]))
+    lap = normalized_laplacian(symmetric_adjacency(m, position[snap.edge_array]))
     avail = min(k, m - 1)
     out[alive, :avail] = smallest_eigenpairs(lap, avail, method=eig_method).eigenvectors
     return out, avail < k
@@ -221,6 +222,31 @@ def lap_pe_time_encoding(
     return BaselineEncodingTable(matrix=table)
 
 
+def window_spectrum(
+    g: DynamicGraph,
+    window: Window,
+    kind: EncodingKind,
+    k: int,
+    eig_method: str = "auto",
+    vn_fallback_link: bool = False,
+) -> tuple[SupraGraph, SpectralBasis]:
+    """One window's multi-layer graph and the k smallest eigenpairs of its
+    normalized Laplacian: for slate the connected graph of build_supra (its
+    trivial pair discarded; vn_fallback_link as there), for slate-notransform
+    the raw block-diagonal stacking, every pair kept. eig_method is passed to
+    the eigensolve."""
+    snapshots = [g.snapshots[t] for t in window.members]
+    kind = encoding_kind(kind)
+    if kind == EncodingKind.SLATE:
+        sg = build_supra(snapshots, window, vn_fallback_link=vn_fallback_link)
+        return sg, smallest_eigenpairs(normalized_laplacian(sg.adjacency), k, method=eig_method)
+    if kind == EncodingKind.SLATE_NO_TRANSFORM:
+        sg = build_block_diagonal(snapshots)
+        lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
+        return sg, smallest_eigenpairs(lap, k, method=eig_method, discard_trivial=False)
+    raise ConfigError(f"encoding {kind.value} has no multi-layer graph")
+
+
 def compute_window_encoding(
     g: DynamicGraph,
     window: Window,
@@ -230,19 +256,11 @@ def compute_window_encoding(
     eig_method: str = "auto",
     vn_fallback_link: bool = False,
 ):
-    """Per-(node, window position) features for one window, by encoding kind.
-    eig_method is passed to every eigensolve, d_time is read by the LapPE
-    baseline only, vn_fallback_link by the transformed graph only (see
-    build_supra)."""
-    snapshots = [g.snapshots[t] for t in window.members]
-    kind = encoding_kind(kind)
-    if kind == EncodingKind.SLATE:
-        sg = build_supra(snapshots, window, vn_fallback_link=vn_fallback_link)
-        basis = smallest_eigenpairs(normalized_laplacian(sg.adjacency), k, method=eig_method)
-        return raw_encoding(basis, sg)
-    if kind == EncodingKind.SLATE_NO_TRANSFORM:
-        sg = build_block_diagonal(snapshots)
-        lap = normalized_laplacian(sg.adjacency, allow_isolated=True)
-        basis = smallest_eigenpairs(lap, k, method=eig_method, discard_trivial=False)
-        return raw_encoding(basis, sg)
-    return lap_pe_time_encoding(snapshots, k, d_time, window.members, eig_method)  # LAPPE_TIME
+    """Per-(node, window position) features for one window, by encoding kind:
+    raw_encoding of window_spectrum, or the LapPE baseline, which alone reads
+    d_time. eig_method is passed to every eigensolve."""
+    if encoding_kind(kind) == EncodingKind.LAPPE_TIME:
+        snapshots = [g.snapshots[t] for t in window.members]
+        return lap_pe_time_encoding(snapshots, k, d_time, window.members, eig_method)
+    sg, basis = window_spectrum(g, window, kind, k, eig_method, vn_fallback_link)
+    return raw_encoding(basis, sg)

@@ -6,11 +6,11 @@ pool: anything that is not an edge now (random), former edges that are gone
 now (historical), or pairs never seen during training (inductive). A sampled
 negative is never a positive edge at the prediction snapshot.
 
-Pools are boolean masks over the N nodes, set and cleared from CSR neighbour
-arrays: the prediction snapshot's (built once per `sample_pairs` call), the
-history's (once per call, historical only) and the training edges' (once per
-sampler, inductive only). Each pool costs O(N) array work, with no
-per-node Python loop.
+Pools are boolean masks over the N nodes, set and cleared from rows of CSR
+adjacencies built by `supra.symmetric_adjacency`: the prediction snapshot's
+(built once per `sample_pairs` call), the history's (once per call,
+historical only) and the training edges' (once per sampler, inductive only).
+Each pool costs O(N) array work, with no per-node Python loop.
 """
 
 from __future__ import annotations
@@ -18,71 +18,63 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .dtdg import DynamicGraph, Edge
+from .dtdg import DynamicGraph
 from .errors import ConfigError
+from .supra import symmetric_adjacency
 
 STRATEGIES = ("random", "historical", "inductive")
 
 
-@dataclass(frozen=True)
-class Neighbours:
-    """CSR adjacency of an undirected edge set: node u's neighbours are
-    indices[indptr[u]:indptr[u + 1]]."""
+def _union_adjacency(g: DynamicGraph, stop: int) -> sp.csr_array:
+    """Adjacency of every edge in snapshots [0, stop)."""
+    pairs = np.array(list(g.edge_union(stop)), dtype=np.int64).reshape(-1, 2)
+    return symmetric_adjacency(g.num_nodes, pairs)
 
-    indptr: np.ndarray
-    indices: np.ndarray
 
-    @staticmethod
-    def of(edges: frozenset[Edge], num_nodes: int) -> "Neighbours":
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-        return Neighbours(indptr, dst[np.argsort(src, kind="stable")])
-
-    def __getitem__(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+def _row(adjacency: sp.csr_array, u: int) -> np.ndarray:
+    return adjacency.indices[adjacency.indptr[u]:adjacency.indptr[u + 1]]
 
 
 @dataclass
 class NegativeSampler:
-    """Strategy plus the training edges inductive sampling excludes;
-    fallback_count tallies pairs whose strategy pool was empty and fell back
-    to a random negative."""
+    """Strategy plus the adjacency of the training edges, which inductive
+    sampling excludes; fallback_count tallies pairs whose strategy pool was
+    empty and fell back to a random negative."""
 
     strategy: str
-    train_neighbours: Neighbours | None = None
+    train_adjacency: sp.csr_array | None = None
     fallback_count: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown negative sampling strategy {self.strategy!r}")
-        if self.strategy == "inductive" and self.train_neighbours is None:
+        if self.strategy == "inductive" and self.train_adjacency is None:
             raise ConfigError("inductive sampling needs the training split")
 
     @staticmethod
     def for_graph(g: DynamicGraph, strategy: str, train_range: range | None = None) -> "NegativeSampler":
-        train_neighbours = None
+        train_adjacency = None
         if strategy == "inductive" and train_range is not None:
-            train_neighbours = Neighbours.of(g.edge_union(train_range.stop), g.num_nodes)
-        return NegativeSampler(strategy=strategy, train_neighbours=train_neighbours)
+            train_adjacency = _union_adjacency(g, train_range.stop)
+        return NegativeSampler(strategy=strategy, train_adjacency=train_adjacency)
 
-    def pool_for(self, u: int, positives: Neighbours, history: Neighbours | None,
+    def pool_for(self, u: int, positives: sp.csr_array, history: sp.csr_array | None,
                  num_nodes: int) -> np.ndarray:
         """Ascending candidate v for (u, v) under this strategy; excludes u
-        itself and every positive at the prediction snapshot. history is
-        read by the historical strategy only."""
+        itself and every positive at the prediction snapshot. positives and
+        history are adjacencies; history is read by the historical strategy
+        only."""
         if self.strategy == "historical":
             mask = np.zeros(num_nodes, dtype=bool)
-            mask[history[u]] = True
+            mask[_row(history, u)] = True
         else:
             mask = np.ones(num_nodes, dtype=bool)
         mask[u] = False
-        mask[positives[u]] = False
+        mask[_row(positives, u)] = False
         if self.strategy == "inductive":
-            mask[self.train_neighbours[u]] = False
+            mask[_row(self.train_adjacency, u)] = False
         return np.flatnonzero(mask)
 
 
@@ -102,20 +94,18 @@ def sample_pairs(
     """
     if not 0 <= t_pred < g.num_snapshots:
         raise ConfigError(f"prediction snapshot {t_pred} outside [0, {g.num_snapshots})")
-    positives = g.snapshots[t_pred].edges
-    if not positives:
+    snap = g.snapshots[t_pred]
+    if snap.num_edges == 0:
         return []
-    pos_neighbours = Neighbours.of(positives, g.num_nodes)
-    history = None
-    if sampler.strategy == "historical":
-        history = Neighbours.of(g.edge_union(t_pred), g.num_nodes)
+    positives = symmetric_adjacency(g.num_nodes, snap.edge_array)
+    history = _union_adjacency(g, t_pred) if sampler.strategy == "historical" else None
     random_fallback = NegativeSampler(strategy="random")
     triples = []
-    for u, v_pos in sorted(positives):
-        pool = sampler.pool_for(u, pos_neighbours, history, g.num_nodes)
+    for u, v_pos in snap.edge_array.tolist():
+        pool = sampler.pool_for(u, positives, history, g.num_nodes)
         if len(pool) == 0 and sampler.strategy != "random":
             sampler.fallback_count += 1
-            pool = random_fallback.pool_for(u, pos_neighbours, history, g.num_nodes)
+            pool = random_fallback.pool_for(u, positives, history, g.num_nodes)
         if len(pool) == 0:
             continue  # u saturates the snapshot; no valid negative exists
         v_neg = int(pool[rng.integers(len(pool))])

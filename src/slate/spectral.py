@@ -86,12 +86,8 @@ def canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     Ties resolve to the lowest row index, which argmax already guarantees.
     Idempotent; makes bases independent of eigensolver-internal sign choices.
     """
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    rows = np.argmax(np.abs(vectors), axis=0)
+    return np.where(vectors[rows, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
 
 
 def _null_space(lap: NormalizedSupraLaplacian, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

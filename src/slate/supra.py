@@ -63,7 +63,7 @@ def symmetric_adjacency(size: int, pairs: np.ndarray) -> sp.csr_array:
 
 
 def _layer_edges(snapshots: list[Snapshot], rows: np.ndarray) -> list[np.ndarray]:
-    return [rows[tau][snap.edge_array()] for tau, snap in enumerate(snapshots)]
+    return [rows[tau][snap.edge_array] for tau, snap in enumerate(snapshots)]
 
 
 def build_supra(
@@ -83,8 +83,7 @@ def build_supra(
     if not snapshots:
         raise DegenerateWindowError("empty window")
     if window is None:
-        w = len(snapshots)
-        window = Window(end=w - 1, size=w, members=tuple(range(w)))
+        window = Window(tuple(range(len(snapshots))))
     if all(s.num_edges == 0 for s in snapshots):
         raise DegenerateWindowError("every snapshot in the window is empty")
     for tau, snap in enumerate(snapshots):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .dtdg import DynamicGraph, SplitSpec, split_chronological, window_of
+from .dtdg import DynamicGraph, window_of
 from .errors import ConfigError, SlateError, TrainingError
 from .metrics import auc, average_precision
 from .model import SlateModel, compute_window_encoding, encoding_kind
@@ -147,18 +147,18 @@ def train(
     model: SlateModel,
     g: DynamicGraph,
     cfg: TrainConfig,
-    train_range: range | None = None,
-    val_range: range | None = None,
+    train_range: range,
+    val_range: range,
 ) -> TrainHistory:
     """SGD over rolling windows with early stopping on validation AP.
 
     One optimizer step per (epoch, target snapshot). Negative draws depend on
     (seed, target snapshot) only, so an lr=0 run has a constant loss trace and
     reruns are bit-reproducible. Restores the best-validation parameters.
-    cfg supplies only the optimizer settings. A non-finite loss raises TrainingError.
+    cfg must be the model's own config: its lr, weight_decay, epochs and
+    patience drive the optimizer and its seed the negative draws. A non-finite
+    loss raises TrainingError.
     """
-    if train_range is None or val_range is None:
-        train_range, val_range, _ = split_chronological(g, SplitSpec.ratio(0.7, 0.15, 0.15))
     if len(train_range) < 2:
         raise ConfigError("training needs at least 2 snapshots (a window plus its target)")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -129,6 +130,33 @@ class TestInspect:
         summary = json.loads((out / "summary.json").read_text())
         assert "error" in summary["transformed"]
         assert summary["untransformed"]["components"] == 6
+
+    # sha256 of every file `inspect --t 2 --w 3 --k 2` writes for write_toy_t3,
+    # but config.txt, which echoes the data and out paths
+    TOY_K2_DIGESTS = {
+        "summary.json": "ec2b887243c0baba0817dcda700fca086a9dfe78d1e452b44f63e5557e9048ce",
+        "transformed_adjacency.txt": "41f8e618ac27a22772990e601f08f922ca5d4a6b87a8b6253ad2381e372c3f68",
+        "transformed_eigenvalues.txt": "a3890648e59cd099f47a6cbf8e8f0415128397438f1cb3ae8b9189471e8d0779",
+        "transformed_index_map.txt": "83dc037ec007014014366c6e5a343025d371812482c38b18303c4c67b8d524a1",
+        "transformed_isolated.txt": "d3b2ee5b24f058456c69785ecbb02d6fffd6c5779db4c0beb9b401e2b5f44832",
+        "transformed_projections.csv": "0f27ff941f7148ac78e89f6574fb0b266ac50db6cd977b4d2b63de81ffa9923f",
+        "untransformed_adjacency.txt": "7c326e94e0dff9beea0b3acd6ace964f3ddeecfb32d2558b51623bbdad7d1eb7",
+        "untransformed_eigenvalues.txt": "52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262",
+        "untransformed_index_map.txt": "cd4739008f94228ebbb8da249af7c576ab5ad6cb1bce5bcaccdc772d9340f942",
+        "untransformed_isolated.txt": "d3b2ee5b24f058456c69785ecbb02d6fffd6c5779db4c0beb9b401e2b5f44832",
+        "untransformed_projections.csv": "ea06768752fbef872b6e0d3b1a5c6aa981368a7f87ca5594578da6191d19e445",
+    }
+
+    def test_toy_dumps_are_pinned(self, tmp_path):
+        stem = write_toy_t3(tmp_path)
+        out = tmp_path / "ins"
+        assert run("inspect", "--data", stem, "--t", 2, "--w", 3, "--k", 2, "--out", out) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in out.iterdir() if f.name != "config.txt"}
+        assert digests == self.TOY_K2_DIGESTS
+        echoed = (out / "config.txt").read_text().splitlines()
+        assert [line for line in echoed if not line.startswith(("data =", "out ="))] == [
+            "k = 2", "t = 2", "vn_fallback_link = false", "w = 3"]
 
     def test_deterministic_rerun(self, tmp_path):
         stem = write_toy_t3(tmp_path)

@@ -288,21 +288,29 @@ def test_snapshot_matches_per_edge_construction(edges):
     for u, v in canon:
         degree[u] += 1
         degree[v] += 1
-    for given_edges in (edges, np.array(edges, dtype=np.int32).reshape(-1, 2), iter(edges)):
+    both_ways = edges + [(v, u) for u, v in edges]
+    for given_edges in (edges, np.array(edges, dtype=np.int32).reshape(-1, 2), iter(edges), both_ways):
         snap = Snapshot.from_edges(8, given_edges)
         assert snap.edges == canon
         assert snap.degree.dtype == np.int64 and np.array_equal(snap.degree, degree)
         assert not snap.degree.flags.writeable
+        # the edge array: read-only, u < v, rows strictly ascending, the sorted edge set
+        arr = snap.edge_array
+        assert arr.dtype == np.int64 and arr.shape == (len(canon), 2)
+        assert not arr.flags.writeable
+        assert np.all(arr[:, 0] < arr[:, 1])
+        assert np.all(np.diff(arr[:, 0] * 8 + arr[:, 1]) > 0)
+        assert arr.tolist() == [list(e) for e in sorted(snap.edges)]
 
 
 def graph_digest(graphs) -> str:
-    """sha256 over every snapshot's sorted edges, its edges in iteration order
-    (which the pair sampler follows) and its degrees."""
+    """sha256 over every snapshot's sorted edges, its edges in set iteration
+    order and its degrees."""
     h = hashlib.sha256()
     for g in graphs:
         for snap in g.snapshots:
-            h.update(np.array(snap.sorted_edges(), dtype=np.int64).reshape(-1, 2).tobytes())
-            h.update(snap.edge_array().tobytes())
+            h.update(np.array(sorted(snap.edges), dtype=np.int64).reshape(-1, 2).tobytes())
+            h.update(np.array(list(snap.edges), dtype=np.int64).reshape(-1, 2).tobytes())
             h.update(snap.degree.astype(np.int64).tobytes())
     return h.hexdigest()
 

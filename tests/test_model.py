@@ -14,6 +14,7 @@ from slate.model import (
     compute_window_encoding,
     lap_pe_time_encoding,
     time_encoding,
+    window_spectrum,
 )
 from slate.nn import Tape, Tensor
 from slate.spectral import canonicalize_signs
@@ -398,6 +399,11 @@ class TestSpecDetails:
         g = generate_erdos_renyi(6, 0.6, 4, seed=3)
         with pytest.raises(ConfigError, match="unknown encoding 'bogus'"):
             compute_window_encoding(g, window_of(g, 2, 2), "bogus", 2)
+
+    def test_lappe_time_has_no_window_spectrum(self):
+        g = generate_erdos_renyi(6, 0.6, 4, seed=3)
+        with pytest.raises(ConfigError, match="lappe-time has no multi-layer graph"):
+            window_spectrum(g, window_of(g, 2, 2), EncodingKind.LAPPE_TIME, 2)
 
     def test_cross_attention_is_directional(self):
         g, model, window, table = toy_setup()

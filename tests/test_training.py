@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from slate.dtdg import DynamicGraph, Snapshot, generate_erdos_renyi, generate_sbm
 from slate.errors import ConfigError, ConnectivityError, TrainingError, UndefinedMetricError
 from slate.metrics import auc, average_precision
-from slate.sampling import STRATEGIES, NegativeSampler, Neighbours, sample_pairs
+from slate.sampling import STRATEGIES, NegativeSampler, sample_pairs
+from slate.supra import symmetric_adjacency
 from slate.training import EvalReport, TrainConfig, evaluate, train
 
 
@@ -209,6 +210,11 @@ def reference_sample_pairs(strategy, g, t_pred, train_edges, rng):
     return triples, fallbacks
 
 
+def adjacency(edges, n):
+    """The CSR adjacency of an edge set, as pool_for reads it."""
+    return symmetric_adjacency(n, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
+
+
 def assert_sampler_matches_reference(g, train_stop, seeds=range(3)):
     n = g.num_nodes
     train_edges = g.edge_union(train_stop)
@@ -216,9 +222,9 @@ def assert_sampler_matches_reference(g, train_stop, seeds=range(3)):
         sampler = NegativeSampler.for_graph(g, strategy, range(0, train_stop))
         for t in range(g.num_snapshots):
             positives, history = g.snapshots[t].edges, g.edge_union(t)
-            pos_neighbours, history_neighbours = Neighbours.of(positives, n), Neighbours.of(history, n)
+            pos_adjacency, history_adjacency = adjacency(positives, n), adjacency(history, n)
             for u in range(n):
-                pool = sampler.pool_for(u, pos_neighbours, history_neighbours, n)
+                pool = sampler.pool_for(u, pos_adjacency, history_adjacency, n)
                 assert pool.dtype == np.int64
                 assert pool.tolist() == reference_pool(strategy, u, positives, history, train_edges, n)
             for seed in seeds:
