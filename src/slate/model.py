@@ -134,10 +134,12 @@ class SlateModel:
         return np.arange(num_members)[None, :] * self.num_nodes + np.asarray(nodes)[:, None]
 
     def _pool(self, seq: Tensor) -> Tensor:
-        """Time pooling over the last cfg.pool_last_k positions of the sequence."""
+        """Time pooling over the last cfg.pool_last_k positions of the sequence;
+        the whole sequence, not a copy of it, when it has no more positions."""
         length = seq.shape[1]
-        last = min(self.cfg.pool_last_k, length)
-        sliced = nn.slice_axis1(seq, length - last, length)
+        sliced = seq
+        if self.cfg.pool_last_k < length:
+            sliced = nn.slice_axis1(seq, length - self.cfg.pool_last_k, length)
         return nn.mean_axis(sliced, 1) if self.cfg.pooling == "mean" else nn.max_axis(sliced, 1)
 
     def _pair_logits(self, zt: Tensor, pairs: np.ndarray) -> Tensor:

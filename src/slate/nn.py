@@ -16,6 +16,13 @@ with one sparse matrix product. A forward/backward pass with its tape
 belongs to one thread: the active tape is per thread, so no-grad forwards over
 frozen parameters are safe to run concurrently with training.
 
+A primitive keeps for its backward pass only what that pass reads, and
+copies nothing a view can stand for. Attention's output and gradients follow
+their inputs' memory layout, so the heads split and merge through views. Layer norm keeps each row's mean and
+inverse deviation and recomputes x̂ in its backward pass. relu, mul_scalar
+and layer_norm build their input's gradient in their output's gradient
+buffer, which no other tensor still needs (see `Tape`).
+
 Attention is the one primitive that runs on several threads. When its scores
 exceed one block, it cuts leading axis 0 (the heads, for the encoder) into one
 contiguous part per CPU in the process's affinity mask and runs each part's
@@ -75,7 +82,10 @@ class Tape:
     loss does not use leaves its inputs' .grad as None. Gradients accumulate
     additively into Tensor.grad through `_accumulate`. An intermediate's .grad
     may be handed on to an input and added into after its closure ran, so
-    after backward only a leaf's .grad is its gradient.
+    after backward only a leaf's .grad is its gradient. For the same reason a
+    closure may overwrite its own output's .grad in place (relu, mul_scalar
+    and layer_norm build their input's gradient there): no other tensor whose
+    gradient is still being summed holds that buffer.
     """
 
     def __init__(self):
@@ -111,7 +121,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
     g must have t's shape, and no other tensor whose gradient is still being
     summed may hold it, since a later call adds into it in place. The output
-    whose closure computed g is complete, so g may be (a view of) its .grad.
+    whose closure computed g is complete, so g may be (a view of) its .grad,
+    and that closure may have built g in place in its .grad; `add`, which
+    hands one gradient to two inputs, copies it for the second.
     """
     if t.grad is None:
         t.grad = g
@@ -143,7 +155,8 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
     def backward():
         if a.requires_grad:
-            _accumulate(a, c * out.grad)
+            out.grad *= c
+            _accumulate(a, out.grad)
 
     return _track(out, (a,), backward)
 
@@ -251,7 +264,8 @@ def relu(a: Tensor) -> Tensor:
 
     def backward():
         if a.requires_grad:
-            _accumulate(a, out.grad * (a.data > 0.0))
+            out.grad *= a.data > 0.0
+            _accumulate(a, out.grad)
 
     return _track(out, (a,), backward)
 
@@ -322,6 +336,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     forms dV = pᵀ dO, dS = p (dO vᵀ - D), dQ = dS k and dK = dSᵀ q, where
     D = rowsum(dO O). No (..., m, n) array outlives a block.
 
+    The output takes q's memory layout (its axis order, with v's last axis)
+    and each input's gradient takes that input's, so a caller that passes
+    permuted views gets results that the inverse permutation makes
+    C-contiguous again; `multi_head_attention` then reshapes them as views.
+
     When the scores exceed one block and leading axis 0 has several entries,
     that axis is cut into contiguous parts, one per worker of the process's
     pool (one thread per CPU in its affinity mask), and each part runs the
@@ -362,7 +381,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     kt = np.swapaxes(k.data, -1, -2)
     row_max = np.empty((*lead, m, 1))
     row_sum = np.empty((*lead, m, 1))
-    out = Tensor(np.empty((*lead, m, v.shape[-1])))
+    out = Tensor(np.empty_like(q.data, shape=(*lead, m, v.shape[-1])))
 
     def scores(part, b: slice, buf: np.ndarray) -> np.ndarray:
         qb = q.data[part][..., b, :]
@@ -386,7 +405,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         need_scores = q.requires_grad or k.requires_grad
         d = np.sum(g * out.data, axis=-1, keepdims=True) if need_scores else None
         vt = np.swapaxes(v.data, -1, -2)
-        gq, gk, gv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
+        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
         several = len(blocks) > 1
 
         def part_backward(part, p_buf, ds_buf, gk_buf, gv_buf) -> None:
@@ -427,25 +446,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError(f"layer_norm: x{x.shape}, gamma{gamma.shape}, beta{beta.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat *= inv
     out = Tensor(gamma.data * xhat + beta.data)
 
     def backward():
         g = out.grad
+        xhat = x.data - mu  # the forward's x̂, bit for bit
+        xhat *= inv
         if gamma.requires_grad:
             _accumulate(gamma, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
         if beta.requires_grad:
             _accumulate(beta, g.reshape(-1, x.shape[-1]).sum(axis=0))
         if x.requires_grad:
-            dxhat = g * gamma.data
-            _accumulate(x, inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            ))
+            # dx = inv (dx̂ - mean(dx̂) - x̂ mean(dx̂ x̂)), dx̂ = g gamma, in g's buffer
+            g *= gamma.data
+            dxhat_mean = g.mean(axis=-1, keepdims=True)
+            xhat *= (g * xhat).mean(axis=-1, keepdims=True)
+            g -= dxhat_mean
+            g -= xhat
+            g *= inv
+            _accumulate(x, g)
 
     return _track(out, (x, gamma, beta), backward)
 

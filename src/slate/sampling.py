@@ -28,8 +28,10 @@ STRATEGIES = ("random", "historical", "inductive")
 
 
 def _union_adjacency(g: DynamicGraph, stop: int) -> sp.csr_array:
-    """Adjacency of every edge in snapshots [0, stop)."""
-    pairs = np.array(list(g.edge_union(stop)), dtype=np.int64).reshape(-1, 2)
+    """Adjacency of every edge in snapshots [0, stop); an edge in several
+    snapshots is one entry."""
+    pairs = np.concatenate([np.empty((0, 2), np.int64)]
+                           + [snap.edge_array for snap in g.snapshots[:stop]])
     return symmetric_adjacency(g.num_nodes, pairs)
 
 

@@ -131,6 +131,19 @@ class TestEdgeScoring:
         pooled = model._pool(seq)
         assert np.allclose(pooled.data[0], row)
 
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    @pytest.mark.parametrize("pool_last_k, sliced", [(1, True), (2, False), (5, False)])
+    def test_pool_slices_only_a_shorter_tail(self, pooling, pool_last_k, sliced):
+        # a sequence of 2 positions: pool_last_k >= 2 pools all of it, uncopied
+        g, model, window, table = toy_setup(pooling=pooling, pool_last_k=pool_last_k)
+        seq = Tensor(np.random.default_rng(3).standard_normal((4, 2, 16)), requires_grad=True)
+        with Tape() as tape:
+            pooled = model._pool(seq)
+        ops = [fn.__qualname__.split(".")[0] for _, fn in tape._records]
+        assert ops == (["slice_axis1"] if sliced else []) + [f"{pooling}_axis"]
+        reduce = np.mean if pooling == "mean" else np.max
+        assert np.array_equal(pooled.data, reduce(seq.data[:, -pool_last_k:], axis=1))
+
     def test_symmetrize_flag(self):
         g, model, window, table = toy_setup(symmetrize=True)
         zt = model.encode(model.token_sequence(table, len(window)))

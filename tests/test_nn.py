@@ -411,6 +411,31 @@ class TestAttentionKernel:
         for name, grad, ref in zip("qkv", p_grads, grads):
             assert np.array_equal(grad, ref), f"d{name}"
 
+    @pytest.mark.parametrize("block, workers", [(None, 1), (3 * 4 * 7, 1), (3 * 4 * 7, 2)],
+                             ids=["one-block", "blocked", "pooled"])
+    def test_results_follow_permuted_inputs(self, monkeypatch, block, workers):
+        # q, k, v as multi_head_attention passes them: (lead, heads, rows, dh)
+        # views of (lead, rows, heads, dh) arrays
+        if block is not None:
+            monkeypatch.setattr(nn, "ATTENTION_BLOCK", block)
+        pool = nn._Pool(workers)
+        monkeypatch.setattr(nn, "_POOL", pool)
+        rng = np.random.default_rng(24)
+        to_heads = (0, 2, 1, 3)
+        views = [np.transpose(rng.standard_normal((3, rows, 4, cols)), to_heads)
+                 for rows, cols in ((11, 6), (7, 6), (7, 5))]
+        g_out = rng.standard_normal((3, 4, 11, 5))
+        permuted = [Tensor(a, requires_grad=True) for a in views]
+        contiguous = [Tensor(np.ascontiguousarray(a), requires_grad=True) for a in views]
+        out, grads = self._run(*permuted, g_out)
+        ref_out, ref_grads = self._run(*contiguous, g_out)
+        pool.executor.shutdown()
+        assert np.array_equal(out, ref_out)
+        assert np.transpose(out, to_heads).flags.c_contiguous
+        for name, t, ref in zip("qkv", permuted, ref_grads):
+            assert np.array_equal(t.grad, ref), f"d{name}"
+            assert np.transpose(t.grad, to_heads).flags.c_contiguous, f"d{name}"
+
     def test_import_starts_no_thread(self):
         code = ("import threading, slate, slate.nn; "
                 "print(threading.active_count(), slate.nn._POOL is None)")
@@ -580,6 +605,86 @@ class TestLayerNorm:
             return nn.mean_all(nn.layer_norm(x, g, b))
 
         assert_grads_match(build, [x, g, b], tol=1e-5)
+
+
+def old_layer_norm_grads(x, gamma, g, eps=nn.LAYER_NORM_EPS):
+    """layer_norm's gradients as formed out of place, from a kept x̂:
+    (dx, dgamma, dbeta)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = g * gamma
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0), g.reshape(-1, x.shape[-1]).sum(axis=0)
+
+
+class TestInPlaceGradients:
+    """relu, mul_scalar and layer_norm build their input's gradient in their
+    output's gradient buffer; the bits must be those of the out-of-place
+    formulas."""
+
+    @staticmethod
+    def _data(seed, shape=(5, 3, 8)):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * 1.5 + 0.2
+        x[0, 0, :3] = 0.0  # relu's kink: the gradient there is 0
+        return x, rng.standard_normal(shape)
+
+    def test_relu(self):
+        x_data, g = self._data(30)
+        x = Tensor(x_data, requires_grad=True)
+        with Tape() as tape:
+            out = nn.relu(x)
+            tape.backward(weighted_sum(out, g))
+        assert np.array_equal(x.grad, g * (x_data > 0.0))
+        assert np.shares_memory(x.grad, out.grad)
+
+    @pytest.mark.parametrize("c", [-1.7, 0.125, 1.0 / 3.0])
+    def test_mul_scalar(self, c):
+        x_data, g = self._data(31)
+        x = Tensor(x_data, requires_grad=True)
+        with Tape() as tape:
+            out = nn.mul_scalar(x, c)
+            tape.backward(weighted_sum(out, g))
+        assert np.array_equal(x.grad, c * g)
+        assert np.shares_memory(x.grad, out.grad)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_layer_norm(self, x_grad):
+        x_data, g = self._data(32)
+        rng = np.random.default_rng(33)
+        x = Tensor(x_data, requires_grad=x_grad)
+        gamma = Tensor(rng.standard_normal(8), requires_grad=True)
+        beta = Tensor(rng.standard_normal(8), requires_grad=True)
+        with Tape() as tape:
+            out = nn.layer_norm(x, gamma, beta)
+            tape.backward(weighted_sum(out, g))
+        dx, dgamma, dbeta = old_layer_norm_grads(x_data, gamma.data, g)
+        assert np.array_equal(gamma.grad, dgamma)
+        assert np.array_equal(beta.grad, dbeta)
+        if x_grad:
+            assert np.array_equal(x.grad, dx)
+            assert np.shares_memory(x.grad, out.grad)
+        else:
+            assert x.grad is None
+            assert np.array_equal(out.grad, g.reshape(out.shape))  # left as it came
+
+    def test_fan_out_into_in_place_closures(self):
+        # x feeds relu, mul_scalar and layer_norm; each closure rewrites its own
+        # output's gradient, and x's gradient sums them in reverse tape order
+        x_data, g = self._data(34)
+        rng = np.random.default_rng(35)
+        g1, g2 = rng.standard_normal((2, *x_data.shape))
+        x = Tensor(x_data, requires_grad=True)
+        gamma, beta = Tensor(rng.standard_normal(8)), Tensor(rng.standard_normal(8))
+        with Tape() as tape:
+            r, s, n = nn.relu(x), nn.mul_scalar(x, -0.7), nn.layer_norm(x, gamma, beta)
+            loss = nn.add(nn.add(weighted_sum(r, g), weighted_sum(s, g1)), weighted_sum(n, g2))
+            tape.backward(loss)
+        dx_norm, _, _ = old_layer_norm_grads(x_data, gamma.data, g2)
+        assert np.array_equal(x.grad, dx_norm + -0.7 * g1 + g * (x_data > 0.0))
 
 
 class TestElementwiseOps:
