@@ -3,6 +3,11 @@
 A dynamic graph is a fixed node set observed over T snapshots. Snapshots are
 undirected, unweighted, simple (no self-loops). All types are immutable after
 construction and safe to share across threads for reading.
+
+The package reads a snapshot's edges through `Snapshot.edge_array` only. The
+frozenset `Snapshot.edges` and `DynamicGraph.edge_union` stay because the
+tests' set-arithmetic oracles and the benchmark's output checks read them, and
+the benchmark's tracer wraps `edge_union`; removing either is a benchmark change.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class Snapshot:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def isolation_mask(self) -> np.ndarray:
         """Boolean vector, true where the node has no incident edge here."""

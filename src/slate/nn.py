@@ -739,12 +739,16 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The parameters of a save_checkpoint file. Every length field is checked
+    against the bytes left before anything is read, so a corrupt or truncated
+    file, or one with bytes after the last parameter, raises ConfigError."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+
         def read(size: int) -> bytes:
-            data = fh.read(size)
-            if len(data) != size:
+            if size > end - fh.tell():
                 raise ConfigError(f"{path}: truncated checkpoint")
-            return data
+            return fh.read(size)
 
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
@@ -759,8 +763,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{path}: parameter name is not UTF-8") from exc
             (rank,) = struct.unpack("<I", read(4))
-            shape = struct.unpack(f"<{rank}Q", read(8 * rank)) if rank else ()
-            n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(8 * n_items), dtype="<f8").reshape(shape)
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank))
+            if max(shape, default=0) > end:  # longer than any array this file can hold
+                raise ConfigError(f"{path}: dimension {max(shape)} exceeds the file size")
+            data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             out[name] = data.astype(np.float64)
+        if fh.tell() != end:
+            raise ConfigError(f"{path}: {end - fh.tell()} trailing bytes after the last parameter")
     return out

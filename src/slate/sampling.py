@@ -6,11 +6,11 @@ pool: anything that is not an edge now (random), former edges that are gone
 now (historical), or pairs never seen during training (inductive). A sampled
 negative is never a positive edge at the prediction snapshot.
 
-Pools are boolean masks over the N nodes, set and cleared from rows of CSR
-adjacencies built by `supra.symmetric_adjacency`: the prediction snapshot's
-(built once per `sample_pairs` call), the history's (once per call,
-historical only) and the training edges' (once per sampler, inductive only).
-Each pool costs O(N) array work, with no per-node Python loop.
+A pool depends on u alone and is built once per source node: a boolean mask
+over the N nodes, set and cleared from rows of CSR adjacencies built by
+`supra.symmetric_adjacency`: the prediction snapshot's (once per call), the
+history's (once per call, historical only) and the training edges' (once per
+sampler, inductive only). Each pool is O(N) array work, with no Python loop.
 """
 
 from __future__ import annotations
@@ -80,36 +80,36 @@ class NegativeSampler:
         return np.flatnonzero(mask)
 
 
+_RANDOM_FALLBACK = NegativeSampler(strategy="random")
+
+
 def sample_pairs(
     sampler: NegativeSampler,
     g: DynamicGraph,
     t_pred: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int, int]]:
-    """One (u, v_pos, v_neg) triple per positive edge at snapshot t_pred.
+) -> np.ndarray:
+    """One (u, v_pos, v_neg) int64 row per positive edge at snapshot t_pred.
 
-    The history pool is every edge strictly before t_pred. Empty strategy pools
-    fall back to a random negative (counted on the sampler); a u with no valid
-    negative at all is skipped. Returns [] when the snapshot has no edges or no
-    triple can be formed, signalling the caller to skip the snapshot. A t_pred
-    outside [0, num_snapshots) raises ConfigError.
+    The history pool is every edge strictly before t_pred. Each u's negatives
+    are one draw, equal to one draw per edge. Empty strategy pools fall back to
+    a random negative (counted on the sampler per pair); a u with no valid
+    negative is skipped. A (0, 3) result tells the caller to skip the snapshot.
+    A t_pred outside [0, num_snapshots) raises ConfigError.
     """
     if not 0 <= t_pred < g.num_snapshots:
         raise ConfigError(f"prediction snapshot {t_pred} outside [0, {g.num_snapshots})")
-    snap = g.snapshots[t_pred]
-    if snap.num_edges == 0:
-        return []
-    positives = symmetric_adjacency(g.num_nodes, snap.edge_array)
+    edges = g.snapshots[t_pred].edge_array
+    positives = symmetric_adjacency(g.num_nodes, edges)
     history = _union_adjacency(g, t_pred) if sampler.strategy == "historical" else None
-    random_fallback = NegativeSampler(strategy="random")
-    triples = []
-    for u, v_pos in snap.edge_array.tolist():
+    v_neg = np.full(len(edges), -1)  # stays -1 where u saturates the snapshot
+    # rows are sorted, so each source's edges are one contiguous run
+    sources, starts, counts = np.unique(edges[:, 0], return_index=True, return_counts=True)
+    for u, start, count in zip(sources.tolist(), starts.tolist(), counts.tolist()):
         pool = sampler.pool_for(u, positives, history, g.num_nodes)
         if len(pool) == 0 and sampler.strategy != "random":
-            sampler.fallback_count += 1
-            pool = random_fallback.pool_for(u, positives, history, g.num_nodes)
-        if len(pool) == 0:
-            continue  # u saturates the snapshot; no valid negative exists
-        v_neg = int(pool[rng.integers(len(pool))])
-        triples.append((u, v_pos, v_neg))
-    return triples
+            sampler.fallback_count += count
+            pool = _RANDOM_FALLBACK.pool_for(u, positives, history, g.num_nodes)
+        if len(pool):
+            v_neg[start:start + count] = pool[rng.integers(len(pool), size=count)]
+    return np.column_stack([edges, v_neg])[v_neg >= 0]

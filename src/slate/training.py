@@ -57,8 +57,17 @@ class TrainConfig:
             raise ConfigError(f"unknown pooling kind {self.pooling!r}")
         if self.pool_last_k < 1:
             raise ConfigError("pool_last_k must be >= 1")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         if self.k >= self.d:
             raise ConfigError(f"need k < d, got k={self.k}, d={self.d}")
+        if self.ffn_dim < 1:
+            raise ConfigError("ffn_dim must be >= 1")
+        if self.heads < 1 or self.d % self.heads:
+            raise ConfigError(f"heads must be >= 1 and divide d, got heads={self.heads}, d={self.d}")
+        if self.use_edge_module and (self.nhead_xa < 1 or self.d % self.nhead_xa):
+            raise ConfigError(
+                f"nhead_xa must be >= 1 and divide d, got nhead_xa={self.nhead_xa}, d={self.d}")
         if self.w < 1:
             raise ConfigError("window size must be >= 1")
 
@@ -128,12 +137,11 @@ class _EncodingCache:
         return window, self._tables[t_end]
 
 
-def _pairs_and_labels(triples) -> tuple[np.ndarray, np.ndarray]:
-    pos = [(u, v_pos) for u, v_pos, _ in triples]
-    neg = [(u, v_neg) for u, _, v_neg in triples]
-    pairs = np.asarray(pos + neg, dtype=np.intp)
-    labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-    return pairs, labels
+def _pairs_and_labels(sampler: NegativeSampler, g: DynamicGraph, t_pred: int, seed: int):
+    """Snapshot t_pred's (u, v_pos) rows then (u, v_neg) rows, labelled 1 and 0;
+    the negatives are drawn from a generator seeded by (seed, t_pred)."""
+    triples = sample_pairs(sampler, g, t_pred, np.random.default_rng([seed, t_pred]))
+    return np.concatenate([triples[:, :2], triples[:, ::2]]), np.repeat([1.0, 0.0], len(triples))
 
 
 def _forward_scores(model: SlateModel, cache: _EncodingCache, t_pred: int, pairs: np.ndarray):
@@ -152,12 +160,13 @@ def train(
 ) -> TrainHistory:
     """SGD over rolling windows with early stopping on validation AP.
 
-    One optimizer step per (epoch, target snapshot). Negative draws depend on
-    (seed, target snapshot) only, so an lr=0 run has a constant loss trace and
-    reruns are bit-reproducible. Restores the best-validation parameters.
-    cfg must be the model's own config: its lr, weight_decay, epochs and
-    patience drive the optimizer and its seed the negative draws. A non-finite
-    loss raises TrainingError.
+    One optimizer step per (epoch, target snapshot), on a batch built once per
+    target before the first epoch. Negative draws depend on (seed, target
+    snapshot) only, so an lr=0 run has a constant loss trace and reruns are
+    bit-reproducible. Restores the best-validation parameters. cfg must be the
+    model's own config: its lr, weight_decay, epochs and patience drive the
+    optimizer and its seed the negative draws. A non-finite loss raises
+    TrainingError.
     """
     if len(train_range) < 2:
         raise ConfigError("training needs at least 2 snapshots (a window plus its target)")
@@ -165,10 +174,8 @@ def train(
     cache = _EncodingCache(g, model)
     sampler = NegativeSampler.for_graph(g, "random")
     targets = [t for t in train_range if t >= 1]
-    triples_by_target = {
-        t: sample_pairs(sampler, g, t, np.random.default_rng([cfg.seed, t])) for t in targets
-    }
-    targets = [t for t in targets if triples_by_target[t]]
+    batches = {t: _pairs_and_labels(sampler, g, t, cfg.seed) for t in targets}
+    targets = [t for t in targets if len(batches[t][1])]
     if not targets:
         raise ConfigError("no training snapshot has a usable positive/negative pair")
 
@@ -178,7 +185,7 @@ def train(
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for t_pred in targets:
-            pairs, labels = _pairs_and_labels(triples_by_target[t_pred])
+            pairs, labels = batches[t_pred]
             try:
                 with nn.Tape() as tape:
                     logits = _forward_scores(model, cache, t_pred, pairs)
@@ -239,10 +246,9 @@ def evaluate(
     for t_pred in split_range:
         if t_pred < 1:
             continue
-        triples = sample_pairs(sampler, g, t_pred, np.random.default_rng([seed, t_pred]))
-        if not triples:
+        pairs, labels = _pairs_and_labels(sampler, g, t_pred, seed)
+        if not len(labels):
             continue
-        pairs, labels = _pairs_and_labels(triples)
         logits = _forward_scores(model, cache, t_pred, pairs)
         if not np.isfinite(logits.data).all():
             raise TrainingError(f"non-finite logits at snapshot {t_pred}")

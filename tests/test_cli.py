@@ -350,6 +350,14 @@ class TestAblate:
         assert "error: need k < d, got k=16, d=16" in capsys.readouterr().err
         assert not (out / "summary.json").exists() and not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_zero_heads_rejected(self, tmp_path, tiny_dataset, capsys, command):
+        out = tmp_path / "run"
+        assert run(command, "--data", tiny_dataset, "--out", out, *ABLATE_FLAGS, "--heads", 0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: heads must be >= 1 and divide d, got heads=0, d=16")
+        assert "Traceback" not in err
+
     def test_multi_seed_mean_std(self, tmp_path, tiny_dataset):
         out = tmp_path / "abl"
         assert run("ablate", "--data", tiny_dataset, "--out", out,

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -859,3 +860,29 @@ class TestCheckpoint:
         store.zeros("p", 1)
         with pytest.raises(ConfigError):
             store.zeros("p", 1)
+
+    @pytest.mark.parametrize("name_len, rank, dims, message", [
+        (2**32 - 1, 1, (4,), "truncated"),
+        (1, 2**32 - 1, (4,), "truncated"),
+        (1, 1, (2**40,), "dimension 1099511627776 exceeds"),
+        (1, 2, (2**32, 2**32), "dimension 4294967296 exceeds"),
+        (1, 64, (2,) * 64, "truncated"),  # 2**64 items: 0 in int64 arithmetic
+        (1, 2, (0, 2**63), "dimension 9223372036854775808 exceeds"),
+    ], ids=["name-length", "rank", "dimension", "dims-overflow-int64", "items-overflow-int64",
+            "empty-with-huge-dimension"])
+    def test_length_field_beyond_the_file_rejected(self, tmp_path, name_len, rank, dims, message):
+        path = tmp_path / "model.ckpt"
+        header = struct.pack("<II", nn.CHECKPOINT_VERSION, 1) + struct.pack("<I", name_len) + b"p"
+        shape = struct.pack("<I", rank) + struct.pack(f"<{len(dims)}Q", *dims)
+        path.write_bytes(nn.CHECKPOINT_MAGIC + header + shape + bytes(64))
+        with pytest.raises(ConfigError, match=message):
+            nn.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        store = ParameterStore(3)
+        store.zeros("b", 2)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(store, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ConfigError, match="1 trailing bytes after the last parameter"):
+            nn.load_checkpoint(path)

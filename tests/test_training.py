@@ -100,12 +100,14 @@ class TestSamplePairs:
         full = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         g = graph_from_edge_lists(4, [full, full])
         sampler = NegativeSampler.for_graph(g, "random")
-        assert sample_pairs(sampler, g, 1, np.random.default_rng(0)) == []
+        triples = sample_pairs(sampler, g, 1, np.random.default_rng(0))
+        assert triples.shape == (0, 3) and triples.dtype == np.int64
 
     def test_empty_positive_set_skips(self):
         g = graph_from_edge_lists(4, [[(0, 1)], []])
         sampler = NegativeSampler.for_graph(g, "random")
-        assert sample_pairs(sampler, g, 1, np.random.default_rng(0)) == []
+        triples = sample_pairs(sampler, g, 1, np.random.default_rng(0))
+        assert triples.shape == (0, 3) and triples.dtype == np.int64
 
     def test_negative_never_positive_now(self):
         g = graph_from_edge_lists(6, [[(0, 1), (2, 3)], [(0, 1), (0, 2), (4, 5)]])
@@ -122,7 +124,7 @@ class TestSamplePairs:
         sampler = NegativeSampler.for_graph(g, "historical")
         for seed in range(20):
             triples = sample_pairs(sampler, g, 1, np.random.default_rng(seed))
-            assert triples == [(0, 1, 2)]
+            assert triples.tolist() == [[0, 1, 2]]
         assert sampler.fallback_count == 0
 
     def test_historical_empty_history_falls_back(self):
@@ -138,7 +140,7 @@ class TestSamplePairs:
         # train edges {01,02,03}; predicting t=2, positives {(0,1)};
         # inductive pool for u=0 excludes 1,2,3 -> only node 4
         for seed in range(10):
-            assert sample_pairs(sampler, g, 2, np.random.default_rng(seed)) == [(0, 1, 4)]
+            assert sample_pairs(sampler, g, 2, np.random.default_rng(seed)).tolist() == [[0, 1, 4]]
 
     def test_uniform_within_pool(self):
         g = graph_from_edge_lists(6, [[(0, 1)], [(0, 1)]])
@@ -171,6 +173,31 @@ class TestSamplePairs:
                             assert e_neg in history
                         if strategy == "inductive":
                             assert e_neg not in train_edges
+
+    @pytest.mark.parametrize("strategy", ["historical", "inductive"])
+    def test_fallback_counts_every_pair_of_a_source(self, strategy):
+        n, snapshots, train_stop = FIXED_GRAPHS["source with empty strategy pools"]
+        g = graph_from_edge_lists(n, snapshots)
+        sampler = NegativeSampler.for_graph(g, strategy, range(0, train_stop))
+        triples = sample_pairs(sampler, g, 1, np.random.default_rng(0))
+        # u=0's three pairs fall back to random; u=1's five fall back and are
+        # skipped, since u=1 saturates the snapshot; u=4's pair draws normally
+        assert sampler.fallback_count == 3 + 5
+        assert triples[:, :2].tolist() == [[0, 1], [0, 2], [0, 3], [4, 5]]
+        assert set(triples[:3, 2].tolist()) <= {4, 5, 6}
+
+    @pytest.mark.parametrize("strategy, calls", [("random", 3), ("historical", 5), ("inductive", 5)])
+    def test_one_pool_per_source(self, monkeypatch, strategy, calls):
+        n, snapshots, train_stop = FIXED_GRAPHS["source with empty strategy pools"]
+        g = graph_from_edge_lists(n, snapshots)
+        sampler = NegativeSampler.for_graph(g, strategy, range(0, train_stop))
+        sources = []
+        pool_for = NegativeSampler.pool_for
+        monkeypatch.setattr(NegativeSampler, "pool_for",
+                            lambda self, u, *args: sources.append(u) or pool_for(self, u, *args))
+        sample_pairs(sampler, g, 1, np.random.default_rng(0))
+        # sources 0, 1 and 4, then the random fallback for 0 and 1 when the strategy has one
+        assert len(sources) == calls and set(sources) == {0, 1, 4}
 
     @pytest.mark.parametrize("t_pred", [-1, 2])
     def test_out_of_range_snapshot_rejected(self, t_pred):
@@ -232,7 +259,8 @@ def assert_sampler_matches_reference(g, train_stop, seeds=range(3)):
                 triples = sample_pairs(sampler, g, t, np.random.default_rng([seed, t]))
                 expected, fallbacks = reference_sample_pairs(
                     strategy, g, t, train_edges, np.random.default_rng([seed, t]))
-                assert triples == expected
+                assert triples.dtype == np.int64 and triples.shape == (len(expected), 3)
+                assert triples.tolist() == [list(triple) for triple in expected]
                 assert sampler.fallback_count - before == fallbacks
 
 
@@ -248,6 +276,13 @@ FIXED_GRAPHS = {
     "inductive train covers most pairs": (
         6, [[p for p in ALL_PAIRS_6 if p not in {(0, 5), (1, 4)}], [(0, 1), (2, 3)],
          [(0, 2), (1, 3), (4, 5)]], 2),
+    # at t=1, u=0 has three positives and empty historical and inductive pools
+    # (its past partners are positives now, and training covers all its pairs);
+    # u=1 saturates the snapshot, and u=4's pools are ordinary
+    "source with empty strategy pools": (
+        7, [[(0, 1), (0, 2), (4, 6)],
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (4, 5)],
+            [(0, 4), (0, 5), (0, 6)]], 3),
 }
 
 
@@ -400,10 +435,23 @@ class TestTrainConfig:
         (dict(encoding="bogus"), "unknown encoding 'bogus'"),
         (dict(k=16, d=16), "need k < d"),
         (dict(w=0), "window size must be >= 1"),
-    ], ids=["pooling", "pool-last-k", "encoding", "k-not-below-d", "window"])
+        (dict(k=0), "k must be >= 1"),
+        (dict(ffn_dim=0), "ffn_dim must be >= 1"),
+        (dict(heads=0), "heads must be >= 1 and divide d, got heads=0, d=128"),
+        (dict(heads=-2), "heads must be >= 1 and divide d, got heads=-2"),
+        (dict(heads=3), "heads must be >= 1 and divide d, got heads=3"),
+        (dict(nhead_xa=0), "nhead_xa must be >= 1 and divide d, got nhead_xa=0"),
+        (dict(nhead_xa=5), "nhead_xa must be >= 1 and divide d, got nhead_xa=5"),
+    ], ids=["pooling", "pool-last-k", "encoding", "k-not-below-d", "window", "k-zero", "ffn-zero",
+            "heads-zero", "heads-negative", "heads-not-dividing", "nhead-xa-zero", "nhead-xa-not-dividing"])
     def test_bad_setting_raises_config_error(self, setting, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**setting)
+
+    def test_cross_attention_heads_unchecked_without_edge_module(self):
+        cfg = TrainConfig(w=2, k=2, d=16, heads=2, nhead_xa=0, ffn_dim=32, use_edge_module=False)
+        model = cfg.build_model(6)
+        assert not any(name.startswith("xa.") for name in model.store.parameters())
 
 
 def gap_config(**kw):
