@@ -2,7 +2,9 @@
 
 A dynamic graph is a fixed node set observed over T snapshots. Snapshots are
 undirected, unweighted, simple (no self-loops). All types are immutable after
-construction and safe to share across threads for reading.
+construction and safe to share across threads for reading, with one exception:
+`DynamicGraph._encodings`, the memo in which `slate.training` keeps each
+window's encoding table once it has computed it.
 
 The package reads a snapshot's edges through `Snapshot.edge_array` only. The
 frozenset `Snapshot.edges` and `DynamicGraph.edge_union` stay because the
@@ -69,10 +71,12 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class DynamicGraph:
-    """Ordered snapshots over a fixed node set."""
+    """Ordered snapshots over a fixed node set. _encodings is slate.training's
+    memo of window encodings; it takes no part in equality, hashing or repr."""
 
     num_nodes: int
     snapshots: tuple[Snapshot, ...]
+    _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_snapshots < 1:

@@ -7,6 +7,14 @@ Windows for validation and test predictions may reach back across split
 boundaries; only the predicted snapshot's edges are held out. Training always
 samples random negatives; historical/inductive strategies are evaluation-time
 choices.
+
+A window's encoding depends on the graph alone, so train() and evaluate() memoize
+each table on the graph (`DynamicGraph._encodings`) under (encoding, w, k,
+d_time, vn_fallback_link, t_end), for the graph's lifetime: every call on one
+graph, and every cell of `slate ablate`, encodes a window once. Memoized tables
+are read-only; each holds w*N*2k float64, about 3.8 MB at N=10,000, w=3, k=8.
+Racing scorers may encode a window twice, never differently.
+`compute_window_encoding` itself is not memoized.
 """
 
 from __future__ import annotations
@@ -117,24 +125,18 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-class _EncodingCache:
-    """Window encodings depend only on the graph and the model's encoding settings,
-    so they are shared across epochs and between training and evaluation."""
-
-    def __init__(self, g: DynamicGraph, model: SlateModel):
-        self.g = g
-        self.model = model
-        self._tables: dict[int, object] = {}
-
-    def window_and_table(self, t_end: int):
-        cfg = self.model.cfg
-        window = window_of(self.g, t_end, cfg.w)
-        if t_end not in self._tables:
-            self._tables[t_end] = compute_window_encoding(
-                self.g, window, cfg.encoding, cfg.k, d_time=cfg.d_time,
-                vn_fallback_link=cfg.vn_fallback_link,
-            )
-        return window, self._tables[t_end]
+def _window_and_table(g: DynamicGraph, cfg: TrainConfig, t_end: int):
+    """The window of cfg.w snapshots ending at t_end and its encoding table,
+    memoized on g (see the module docstring). A call that raises stores nothing."""
+    window = window_of(g, t_end, cfg.w)
+    key = (cfg.encoding, cfg.w, cfg.k, cfg.d_time, cfg.vn_fallback_link, t_end)
+    table = g._encodings.get(key)
+    if table is None:
+        table = compute_window_encoding(g, window, cfg.encoding, cfg.k, d_time=cfg.d_time,
+                                        vn_fallback_link=cfg.vn_fallback_link)
+        table.matrix.flags.writeable = False
+        g._encodings[key] = table
+    return window, table
 
 
 def _pairs_and_labels(sampler: NegativeSampler, g: DynamicGraph, t_pred: int, seed: int):
@@ -144,8 +146,8 @@ def _pairs_and_labels(sampler: NegativeSampler, g: DynamicGraph, t_pred: int, se
     return np.concatenate([triples[:, :2], triples[:, ::2]]), np.repeat([1.0, 0.0], len(triples))
 
 
-def _forward_scores(model: SlateModel, cache: _EncodingCache, t_pred: int, pairs: np.ndarray):
-    window, table = cache.window_and_table(t_pred - 1)
+def _forward_scores(model: SlateModel, g: DynamicGraph, t_pred: int, pairs: np.ndarray):
+    window, table = _window_and_table(g, model.cfg, t_pred - 1)
     tokens = model.token_sequence(table, len(window))
     encoded = model.encode(tokens)
     return model.edge_logits(encoded, pairs)
@@ -171,7 +173,6 @@ def train(
     if len(train_range) < 2:
         raise ConfigError("training needs at least 2 snapshots (a window plus its target)")
 
-    cache = _EncodingCache(g, model)
     sampler = NegativeSampler.for_graph(g, "random")
     targets = [t for t in train_range if t >= 1]
     batches = {t: _pairs_and_labels(sampler, g, t, cfg.seed) for t in targets}
@@ -188,7 +189,7 @@ def train(
             pairs, labels = batches[t_pred]
             try:
                 with nn.Tape() as tape:
-                    logits = _forward_scores(model, cache, t_pred, pairs)
+                    logits = _forward_scores(model, g, t_pred, pairs)
                     loss = nn.mean_all(nn.bce_with_logits(logits, labels))
                     if not np.isfinite(loss.item()):
                         raise TrainingError(f"non-finite loss {loss.item()}")
@@ -201,7 +202,7 @@ def train(
         history.losses.append(epoch_loss / len(targets))
 
         if len(val_range) > 0:
-            val = evaluate(model, g, val_range, strategy="random", seed=cfg.seed, cache=cache)
+            val = evaluate(model, g, val_range, strategy="random", seed=cfg.seed)
             history.val_ap.append(val.aggregate_ap)
             if history.best_epoch < 0 or val.aggregate_ap > history.best_val_ap:
                 history.best_epoch = epoch
@@ -228,17 +229,18 @@ def evaluate(
     strategy: str = "random",
     train_range: range | None = None,
     seed: int = 0,
-    cache: _EncodingCache | None = None,
 ) -> EvalReport:
     """Score every snapshot of the range (window ending just before it) and
     report per-snapshot plus pooled AUC/AP over 1:1 sampled pairs.
 
     Negative draws are seeded per (seed, snapshot), so snapshots could be
     scored concurrently over a frozen model without changing any result.
-    Non-finite logits raise TrainingError naming the snapshot."""
+    Window encodings are read from, or stored read-only in, g's memo for g's
+    lifetime, keyed by the model's (encoding, w, k, d_time, vn_fallback_link)
+    and the window's last snapshot. Non-finite logits raise TrainingError
+    naming the snapshot."""
     if len(split_range) == 0:
         raise ConfigError("evaluation range is empty")
-    cache = cache or _EncodingCache(g, model)
     sampler = NegativeSampler.for_graph(g, strategy, train_range)
     per_snapshot: list[SnapshotEval] = []
     all_scores: list[np.ndarray] = []
@@ -249,7 +251,7 @@ def evaluate(
         pairs, labels = _pairs_and_labels(sampler, g, t_pred, seed)
         if not len(labels):
             continue
-        logits = _forward_scores(model, cache, t_pred, pairs)
+        logits = _forward_scores(model, g, t_pred, pairs)
         if not np.isfinite(logits.data).all():
             raise TrainingError(f"non-finite logits at snapshot {t_pred}")
         scores = logits.data  # ranked as logits: a float64 sigmoid ties them above ~37

@@ -1,12 +1,17 @@
 import json
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slate import training
 from slate.dtdg import DynamicGraph, Snapshot, generate_erdos_renyi, generate_sbm
-from slate.errors import ConfigError, ConnectivityError, TrainingError, UndefinedMetricError
+from slate.errors import (ConfigError, ConnectivityError, ConvergenceError, TrainingError,
+                          UndefinedMetricError)
 from slate.metrics import auc, average_precision
 from slate.sampling import STRATEGIES, NegativeSampler, sample_pairs
 from slate.supra import symmetric_adjacency
@@ -473,6 +478,118 @@ class TestConfigDrift:
         with pytest.raises(ConnectivityError, match=r"epoch 0, target snapshot 2") as info:
             train(cfg.build_model(g.num_nodes), g, cfg, range(0, 5), range(5, 6))
         assert info.value.gap == (0, 1)
+
+
+class TestEncodingMemo:
+    CFG = TrainConfig(lr=0.1, epochs=2, patience=50, w=2, k=2, d=16, heads=2, nhead_xa=1,
+                      ffn_dim=32, seed=0)
+
+    @staticmethod
+    def graph():
+        return generate_sbm(12, 2, 0.6, 0.1, 7, seed=2)
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The (kind, window members) of every real encoding, in call order."""
+        calls = []
+        original = training.compute_window_encoding
+
+        def counting(g, window, kind, k, **kwargs):
+            calls.append((kind, window.members))
+            return original(g, window, kind, k, **kwargs)
+
+        monkeypatch.setattr(training, "compute_window_encoding", counting)
+        return calls
+
+    def test_train_then_every_evaluate_encodes_each_window_once(self, encoded):
+        g, cfg = self.graph(), self.CFG
+        model = cfg.build_model(g.num_nodes)
+        train(model, g, cfg, range(0, 4), range(4, 5))
+        for _ in range(2):
+            for strategy in STRATEGIES:
+                evaluate(model, g, range(5, 7), strategy=strategy, train_range=range(0, 4))
+        # targets 1..6 read the windows ending at 0..5
+        assert sorted(encoded) == [("slate", tuple(range(max(0, t - 1), t + 1))) for t in range(6)]
+
+    @pytest.mark.parametrize("change, encodes_again", [
+        (dict(encoding="slate-notransform"), True),
+        (dict(w=3), True),
+        (dict(k=3), True),
+        (dict(d_time=4), True),
+        (dict(vn_fallback_link=True), True),
+        (dict(lr=0.5), False),
+        (dict(seed=7), False),
+        (dict(heads=4), False),
+        (dict(pooling="max"), False),
+        (dict(use_edge_module=False), False),
+    ], ids=lambda v: "-".join(v) if isinstance(v, dict) else str(v))
+    def test_memo_key_is_the_encoding_settings(self, encoded, change, encodes_again):
+        g = self.graph()
+        for cfg in (self.CFG, replace(self.CFG, **change)):
+            evaluate(cfg.build_model(g.num_nodes), g, range(5, 7))
+        assert len(encoded) == (4 if encodes_again else 2)
+
+    def test_memoized_matrix_is_read_only(self):
+        g, cfg = self.graph(), self.CFG
+        evaluate(cfg.build_model(g.num_nodes), g, range(5, 6))
+        (table,) = g._encodings.values()
+        with pytest.raises(ValueError):
+            table.matrix[0, 0, 0] = 1.0
+
+    def test_window_whose_encoding_raised_is_tried_again(self, monkeypatch, encoded):
+        g, cfg = self.graph(), self.CFG
+        model = cfg.build_model(g.num_nodes)
+        counting = training.compute_window_encoding
+
+        def fails_once(*args, **kwargs):
+            monkeypatch.setattr(training, "compute_window_encoding", counting)
+            raise ConvergenceError("did not converge")
+
+        monkeypatch.setattr(training, "compute_window_encoding", fails_once)
+        with pytest.raises(ConvergenceError):
+            evaluate(model, g, range(5, 6))
+        assert g._encodings == {}
+        evaluate(model, g, range(5, 6))
+        assert encoded == [("slate", (3, 4))]
+        assert len(g._encodings) == 1
+
+    def test_concurrent_scorers_fill_one_memo_with_the_serial_results(self):
+        g, cfg = self.graph(), self.CFG
+        model = cfg.build_model(g.num_nodes)
+        expected = evaluate(model, DynamicGraph(g.num_nodes, g.snapshots), range(1, 7))
+        reports = []
+        threads = [threading.Thread(target=lambda: reports.append(evaluate(model, g, range(1, 7))))
+                   for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert reports == [expected] * len(threads)
+        assert len(g._encodings) == 6
+
+    def test_filled_memo_gives_the_results_of_a_fresh_graph(self):
+        def run(g):
+            model = self.CFG.build_model(g.num_nodes)
+            history = train(model, g, self.CFG, range(0, 4), range(4, 5))
+            reports = [evaluate(model, g, range(5, 7), strategy=s, train_range=range(0, 4))
+                       for s in STRATEGIES]
+            return model.store.state(), history, reports
+
+        g = self.graph()
+        run(g)
+        assert g._encodings
+        state, history, reports = run(g)
+        fresh_state, fresh_history, fresh_reports = run(DynamicGraph(g.num_nodes, g.snapshots))
+        assert state.keys() == fresh_state.keys()
+        assert all(np.array_equal(state[name], fresh_state[name]) for name in state)
+        assert history == fresh_history
+        assert reports == fresh_reports
 
 
 class TestNonFinite:
