@@ -25,11 +25,11 @@ buffer, which no other tensor still needs (see `Tape`).
 
 Attention is the one primitive that runs on several threads. When its scores
 exceed one block, it cuts leading axis 0 (the heads, for the encoder) into one
-contiguous part per CPU in the process's affinity mask and runs each part's
-block loop on a worker of a pool made on first use, and made again in a forked
-child. Every entry of its results depends on one index of that axis only, so
-the bits do not depend on the number of workers. The calling thread allocates
-every array the workers write.
+contiguous part per CPU in the process's affinity mask, read on each call, and
+runs each part's block loop on a thread that starts and finishes inside the
+call; the calling thread allocates every array those threads write. Every
+entry of its results depends on one index of that axis only, so the bits do
+not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -284,31 +284,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 ATTENTION_BLOCK = 1 << 20
 
 
-class _Pool:
-    """Threads for attention's parts of leading axis 0, one per CPU in the
-    process's affinity mask. The executor starts its threads on first use."""
-
-    def __init__(self, workers: int):
-        self.pid = os.getpid()
-        self.workers = workers
-        self.executor = ThreadPoolExecutor(workers, thread_name_prefix="slate-attention")
-
-
-_POOL: _Pool | None = None
-
-
-def _pool() -> _Pool:
-    """This process's pool, made on first use. A forked child inherits the
-    object but not its threads, so it makes its own. Two threads that race
-    here may each make one; the pool not kept is dropped and its threads exit,
-    and the results do not depend on which pool ran them."""
-    global _POOL
-    if _POOL is None or _POOL.pid != os.getpid():
-        if hasattr(os, "sched_getaffinity"):
-            _POOL = _Pool(len(os.sched_getaffinity(0)))
-        else:
-            _POOL = _Pool(os.cpu_count() or 1)
-    return _POOL
+def _workers() -> int:
+    """CPUs in the process's affinity mask, read on each call."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _first(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -317,9 +296,10 @@ def _first(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def _add_matmul(total: np.ndarray, a: np.ndarray, b: np.ndarray, first: bool, product) -> None:
-    """total = a @ b when first, else total += a @ b, a @ b put in the array product."""
-    if first:
+def _add_matmul(total: np.ndarray, a: np.ndarray, b: np.ndarray, product) -> None:
+    """total = a @ b when product is None, else total += a @ b, a @ b put in the
+    array product."""
+    if product is None:
         np.matmul(a, b, out=total)
     else:
         np.add(total, np.matmul(a, b, out=product), out=total)
@@ -342,17 +322,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     C-contiguous again; `multi_head_attention` then reshapes them as views.
 
     When the scores exceed one block and leading axis 0 has several entries,
-    that axis is cut into contiguous parts, one per worker of the process's
-    pool (one thread per CPU in its affinity mask), and each part runs the
-    block loop on its own thread; forward and backward alike. A part keeps
-    the block rows computed from the whole leading shape, and every entry of
-    the outputs and gradients depends only on its own index along axis 0, so
-    each is formed by the same products, reductions and sums in the same order
-    whatever the worker count: the result is bit-identical to one worker's.
-    The calling thread allocates every array a part writes (score and dS
-    blocks, dK and dV partials, the output and the gradients) and the parts
-    write into them with out=, so no large buffer is freed on a worker thread,
-    whose allocator arena would keep it.
+    that axis is cut into min(_workers(), lead[0]) contiguous parts, and the
+    forward and the backward each run every part's block loop on its own
+    thread, started and joined inside that pass. A part keeps the block rows
+    of the whole leading shape, and every entry of the results depends only
+    on its own index along axis 0, so each is formed by the same operations
+    in the same order whatever the part count: bit-identical to one thread.
+    The calling thread allocates every array a part writes, at full leading
+    shape, and each part writes its [part] view with out=, so no large buffer
+    is freed on a worker thread, whose allocator arena would keep it.
     """
     if (q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
@@ -363,20 +341,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     blocks = [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
     parts = [Ellipsis]  # each part indexes its share of every (*lead, ...) array
     if lead and lead[0] > 1 and math.prod(lead) * m * n > ATTENTION_BLOCK:
-        count = min(_pool().workers, lead[0])
+        count = min(_workers(), lead[0])
         cuts = [lead[0] * i // count for i in range(count + 1)]
         parts = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    def run(fn, *per_part) -> None:
-        """fn(part, *its buffers) for every part; here when there is one."""
+    def run(fn) -> None:
+        """fn(part) for every part: here when there is one, else one thread each."""
         if len(parts) == 1:
-            fn(parts[0], *(b[0] for b in per_part))
+            fn(parts[0])
         else:
-            list(_pool().executor.map(fn, parts, *per_part))
-
-    def buffers(*tail: int, wanted: bool = True) -> list:
-        """One (*part's leading axes, *tail) array per part, allocated here."""
-        return [np.empty((*q.data[part].shape[:-2], *tail)) if wanted else None for part in parts]
+            with ThreadPoolExecutor(len(parts), thread_name_prefix="slate-attention") as pool:
+                list(pool.map(fn, parts))
 
     kt = np.swapaxes(k.data, -1, -2)
     row_max = np.empty((*lead, m, 1))
@@ -385,12 +360,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     def scores(part, b: slice, buf: np.ndarray) -> np.ndarray:
         qb = q.data[part][..., b, :]
-        return np.matmul(qb, kt[part], out=_first(buf, (*qb.shape[:-1], n)))
+        return np.matmul(qb, kt[part], out=_first(buf[part], (*qb.shape[:-1], n)))
 
-    def forward(part, buf: np.ndarray) -> None:
+    s_buf = np.empty((*lead, rows, n))
+
+    def forward(part) -> None:
         mx, sm = row_max[part], row_sum[part]
         for b in blocks:
-            s = scores(part, b, buf)
+            s = scores(part, b, s_buf)
             np.max(s, axis=-1, keepdims=True, out=mx[..., b, :])
             s -= mx[..., b, :]
             np.exp(s, out=s)
@@ -398,7 +375,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             s /= sm[..., b, :]
             np.matmul(s, v.data[part], out=out.data[part][..., b, :])
 
-    run(forward, buffers(rows, n))
+    run(forward)
 
     def backward():
         g = out.grad
@@ -407,8 +384,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         vt = np.swapaxes(v.data, -1, -2)
         gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
         several = len(blocks) > 1
+        p_buf = np.empty((*lead, rows, n))
+        ds_buf = np.empty_like(p_buf) if need_scores else None
+        gk_buf = np.empty((*lead, n, k.shape[-1])) if gk is not None and several else None
+        gv_buf = np.empty((*lead, n, v.shape[-1])) if gv is not None and several else None
 
-        def part_backward(part, p_buf, ds_buf, gk_buf, gv_buf) -> None:
+        def part_backward(part) -> None:
             for i, b in enumerate(blocks):
                 p = scores(part, b, p_buf)  # the forward's probabilities, recomputed
                 p -= row_max[part][..., b, :]
@@ -416,21 +397,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
                 p /= row_sum[part][..., b, :]
                 gb = g[part][..., b, :]
                 if gv is not None:
-                    _add_matmul(gv[part], np.swapaxes(p, -1, -2), gb, i == 0, gv_buf)
+                    _add_matmul(gv[part], np.swapaxes(p, -1, -2), gb, gv_buf[part] if i else None)
                 if not need_scores:
                     continue
-                ds = np.matmul(gb, vt[part], out=_first(ds_buf, p.shape))
+                ds = np.matmul(gb, vt[part], out=_first(ds_buf[part], p.shape))
                 ds -= d[part][..., b, :]
                 ds *= p
                 if gq is not None:
                     np.matmul(ds, k.data[part], out=gq[part][..., b, :])
                 if gk is not None:
-                    _add_matmul(gk[part], np.swapaxes(ds, -1, -2), q.data[part][..., b, :], i == 0,
-                                gk_buf)
+                    _add_matmul(gk[part], np.swapaxes(ds, -1, -2), q.data[part][..., b, :],
+                                gk_buf[part] if i else None)
 
-        run(part_backward, buffers(rows, n), buffers(rows, n, wanted=need_scores),
-            buffers(n, k.shape[-1], wanted=gk is not None and several),
-            buffers(n, v.shape[-1], wanted=gv is not None and several))
+        run(part_backward)
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(t, grad)

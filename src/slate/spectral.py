@@ -83,8 +83,11 @@ def normalized_laplacian(adjacency: sp.csr_array, allow_isolated: bool = False) 
 def canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
-    Ties resolve to the lowest row index, which argmax already guarantees.
-    Idempotent; makes bases independent of eigensolver-internal sign choices.
+    Idempotent. Among computed magnitudes that tie exactly, argmax takes the
+    lowest row. But entries that tie in exact arithmetic (a symmetric
+    eigenvector, e.g. of a path or of two mirrored branches) differ by
+    rounding, which then picks the entry, so the dense solver and ARPACK can
+    still return such an eigenvector with opposite signs.
     """
     rows = np.argmax(np.abs(vectors), axis=0)
     return np.where(vectors[rows, np.arange(vectors.shape[1])] < 0, -vectors, vectors)

@@ -78,6 +78,15 @@ class TrainConfig:
                 f"nhead_xa must be >= 1 and divide d, got nhead_xa={self.nhead_xa}, d={self.d}")
         if self.w < 1:
             raise ConfigError("window size must be >= 1")
+        if self.d_time < 0:
+            raise ConfigError("d_time must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.patience < 0:
+            raise ConfigError("patience must be >= 0")
+        for name in ("lr", "weight_decay"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def build_model(self, num_nodes: int) -> SlateModel:
         return SlateModel(num_nodes, self)

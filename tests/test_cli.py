@@ -358,6 +358,16 @@ class TestAblate:
         assert err.startswith("error: heads must be >= 1 and divide d, got heads=0, d=16")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag", [("train", "--encoding"), ("ablate", "--encodings")])
+    def test_negative_d_time_rejected(self, tmp_path, tiny_dataset, capsys, command, flag):
+        out = tmp_path / "run"
+        assert run(command, "--data", tiny_dataset, "--out", out, *ABLATE_FLAGS,
+                   flag, "lappe-time", "--d-time", -1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: d_time must be >= 0")
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists() and not (out / "model.ckpt").exists()
+
     def test_multi_seed_mean_std(self, tmp_path, tiny_dataset):
         out = tmp_path / "abl"
         assert run("ablate", "--data", tiny_dataset, "--out", out,

@@ -294,19 +294,18 @@ class TestAttention:
                                     rows=(np.zeros((2, 3), int), np.zeros((2, 3), int)))
 
 
-class RecordingPool(nn._Pool):
-    """A pool that counts the calls that hand parts to its threads."""
+@pytest.fixture
+def handoffs(monkeypatch):
+    """The part count of every call that hands attention's parts to threads."""
+    calls = []
 
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.calls = 0
-        map_parts = self.executor.map
+    class RecordingExecutor(nn.ThreadPoolExecutor):
+        def map(self, fn, parts, **kwargs):
+            calls.append(len(parts))
+            return super().map(fn, parts, **kwargs)
 
-        def counted(*args):
-            self.calls += 1
-            return map_parts(*args)
-
-        self.executor.map = counted
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", RecordingExecutor)
+    return calls
 
 
 class TestAttentionKernel:
@@ -365,8 +364,8 @@ class TestAttentionKernel:
 
     def test_memory_stays_below_one_score_array(self, monkeypatch):
         # 2,000 tokens and 2 heads: one (2, 2000, 2000) float64 array is 61 MiB;
-        # each head runs on its own worker of a two-worker pool
-        monkeypatch.setattr(nn, "_POOL", nn._Pool(2))
+        # each head runs on its own thread of two
+        monkeypatch.setattr(nn, "_workers", lambda: 2)
         rng = np.random.default_rng(22)
         store = ParameterStore(0)
         params = nn.init_attention(store, "attn", 8)
@@ -393,20 +392,19 @@ class TestAttentionKernel:
         ((3, 2), 11, 7, 2, None, False),  # one block
     ], ids=["heads", "uneven", "lead-5x2", "lead-5x2-3-workers", "row-blocks", "one-row",
             "lead-1", "2-d", "one-block"])
-    def test_pooled_is_bit_identical_to_one_worker(self, monkeypatch, lead, m, n, workers, block,
-                                                   pooled):
+    def test_pooled_is_bit_identical_to_one_worker(self, monkeypatch, handoffs, lead, m, n, workers,
+                                                   block, pooled):
         if block is not None:
             monkeypatch.setattr(nn, "ATTENTION_BLOCK", block)
         q, k, v = self._inputs(len(lead) + m, lead=lead, m=m, n=n)
         g_out = np.random.default_rng(23).standard_normal((*lead, m, 5))
         runs = []
         for count in (1, workers):
-            pool = RecordingPool(count)
-            monkeypatch.setattr(nn, "_POOL", pool)
+            monkeypatch.setattr(nn, "_workers", lambda: count)
+            handoffs.clear()
             runs.append(self._run(q, k, v, g_out))
-            pool.executor.shutdown()
             # one call for the forward and one for the backward, or none at all
-            assert pool.calls == (2 if pooled and count > 1 else 0)
+            assert handoffs == ([min(count, lead[0])] * 2 if pooled and count > 1 else [])
         (out, grads), (p_out, p_grads) = runs
         assert np.array_equal(p_out, out)
         for name, grad, ref in zip("qkv", p_grads, grads):
@@ -419,8 +417,7 @@ class TestAttentionKernel:
         # views of (lead, rows, heads, dh) arrays
         if block is not None:
             monkeypatch.setattr(nn, "ATTENTION_BLOCK", block)
-        pool = nn._Pool(workers)
-        monkeypatch.setattr(nn, "_POOL", pool)
+        monkeypatch.setattr(nn, "_workers", lambda: workers)
         rng = np.random.default_rng(24)
         to_heads = (0, 2, 1, 3)
         views = [np.transpose(rng.standard_normal((3, rows, 4, cols)), to_heads)
@@ -430,7 +427,6 @@ class TestAttentionKernel:
         contiguous = [Tensor(np.ascontiguousarray(a), requires_grad=True) for a in views]
         out, grads = self._run(*permuted, g_out)
         ref_out, ref_grads = self._run(*contiguous, g_out)
-        pool.executor.shutdown()
         assert np.array_equal(out, ref_out)
         assert np.transpose(out, to_heads).flags.c_contiguous
         for name, t, ref in zip("qkv", permuted, ref_grads):
@@ -438,28 +434,33 @@ class TestAttentionKernel:
             assert np.transpose(t.grad, to_heads).flags.c_contiguous, f"d{name}"
 
     def test_import_starts_no_thread(self):
-        code = ("import threading, slate, slate.nn; "
-                "print(threading.active_count(), slate.nn._POOL is None)")
+        code = "import threading, slate, slate.nn; print(threading.active_count())"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["1", "True"]
+        assert done.stdout.split() == ["1"]
+
+    def test_no_thread_outlives_the_call(self, monkeypatch, handoffs):
+        monkeypatch.setattr(nn, "ATTENTION_BLOCK", 6 * 7 * 2)
+        monkeypatch.setattr(nn, "_workers", lambda: 2)
+        q, k, v = self._inputs(9)
+        self._run(q, k, v, np.ones((3, 2, 11, 5)))
+        assert handoffs == [2, 2]  # the forward and the backward ran on threads
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("slate-attention")]
+        assert alive == []
 
     def test_forked_child_runs_pooled_attention(self, monkeypatch):
-        # a pool copied across fork has no threads: submitting to it would wait
-        # forever, so the child must make its own
+        # the parent has run threads before the fork; the child starts its own
         monkeypatch.setattr(nn, "ATTENTION_BLOCK", 6 * 7 * 2)
-        monkeypatch.setattr(nn, "_POOL", nn._Pool(2))
+        monkeypatch.setattr(nn, "_workers", lambda: 2)
         q, k, v = self._inputs(8)
         g_out = np.ones((3, 2, 11, 5))
         out, grads = self._run(q, k, v, g_out)
-        parent_pool = nn._POOL
 
         def child():
             c_out, c_grads = self._run(q, k, v, g_out)
-            fresh = nn._POOL is not parent_pool and nn._POOL.pid == os.getpid()
             same = np.array_equal(c_out, out) and all(map(np.array_equal, c_grads, grads))
-            os._exit(0 if fresh and same else 1)
+            os._exit(0 if same else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
         proc.start()
@@ -469,7 +470,6 @@ class TestAttentionKernel:
             proc.join()
             pytest.fail("forked child hung in pooled attention")
         assert proc.exitcode == 0
-        parent_pool.executor.shutdown()
 
     @pytest.mark.parametrize("shapes", [
         ((2, 3, 4), (3, 5, 4), (3, 5, 4)),  # leading axes differ

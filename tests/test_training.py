@@ -447,11 +447,25 @@ class TestTrainConfig:
         (dict(heads=3), "heads must be >= 1 and divide d, got heads=3"),
         (dict(nhead_xa=0), "nhead_xa must be >= 1 and divide d, got nhead_xa=0"),
         (dict(nhead_xa=5), "nhead_xa must be >= 1 and divide d, got nhead_xa=5"),
+        (dict(epochs=0), "epochs must be >= 1"),
+        (dict(patience=-1), "patience must be >= 0"),
+        (dict(d_time=-1), "d_time must be >= 0"),
+        (dict(lr=-0.1), "lr must be finite and >= 0, got -0.1"),
+        (dict(lr=float("nan")), "lr must be finite and >= 0, got nan"),
+        (dict(lr=float("inf")), "lr must be finite and >= 0, got inf"),
+        (dict(weight_decay=-1e-4), "weight_decay must be finite and >= 0, got -0.0001"),
+        (dict(weight_decay=float("nan")), "weight_decay must be finite and >= 0, got nan"),
     ], ids=["pooling", "pool-last-k", "encoding", "k-not-below-d", "window", "k-zero", "ffn-zero",
-            "heads-zero", "heads-negative", "heads-not-dividing", "nhead-xa-zero", "nhead-xa-not-dividing"])
+            "heads-zero", "heads-negative", "heads-not-dividing", "nhead-xa-zero", "nhead-xa-not-dividing",
+            "epochs-zero", "patience-negative", "d-time-negative", "lr-negative", "lr-nan", "lr-inf",
+            "weight-decay-negative", "weight-decay-nan"])
     def test_bad_setting_raises_config_error(self, setting, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**setting)
+
+    def test_edge_values_are_valid(self):
+        cfg = TrainConfig(lr=0.0, weight_decay=0.0, epochs=1, patience=0, d_time=0)
+        assert (cfg.lr, cfg.epochs, cfg.patience, cfg.d_time) == (0.0, 1, 0, 0)
 
     def test_cross_attention_heads_unchecked_without_edge_module(self):
         cfg = TrainConfig(w=2, k=2, d=16, heads=2, nhead_xa=0, ffn_dim=32, use_edge_module=False)
