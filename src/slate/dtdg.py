@@ -242,9 +242,11 @@ def generate_erdos_renyi(n: int, p: float, t: int, seed: int) -> DynamicGraph:
     return generate_sbm(n, 1, p, p, t, seed)
 
 
-def _check_block_model(n: int, num_blocks: int, p_in: float, p_out: float, t: int) -> None:
+def _check_block_model(n: int, num_blocks: int, p_in: float, p_out: float, t: int, seed: int) -> None:
     if n < 1 or t < 1 or num_blocks < 1:
         raise ConfigError("need n >= 1, t >= 1, num_blocks >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n % num_blocks != 0:
         raise ConfigError(f"n={n} not divisible by num_blocks={num_blocks}")
     for p in (p_in, p_out):
@@ -265,7 +267,7 @@ def generate_sbm(
     Blocks are contiguous id ranges of equal size; intra-block pairs are wired
     with p_in and inter-block pairs with p_out, independently per snapshot.
     """
-    _check_block_model(n, num_blocks, p_in, p_out, t)
+    _check_block_model(n, num_blocks, p_in, p_out, t, seed)
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
     i, j = np.triu_indices(n, 1)  # every unordered pair, lexicographic
@@ -301,7 +303,7 @@ def generate_sbm_churn(
     active carries over with that probability, and fresh draws are thinned by
     (1 - edge_persist), so recent pair structure predicts the next snapshot.
     """
-    _check_block_model(n, num_blocks, p_in, p_out, t)
+    _check_block_model(n, num_blocks, p_in, p_out, t, seed)
     if not 0.0 < active_prob < 1.0:
         raise ConfigError("active_prob must be in (0,1)")
     for name, value in (("flip_prob", flip_prob), ("drift_prob", drift_prob),

@@ -46,7 +46,8 @@ class ShapeError(SlateError):
 
 
 class UndefinedMetricError(SlateError):
-    """Metric is undefined for the given labels (single-class input)."""
+    """Metric is undefined for the given input: single-class labels, or a NaN or
+    infinite score."""
 
 
 class TrainingError(SlateError):

@@ -3,22 +3,34 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UndefinedMetricError
+
+
+def _finite_scores(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise UndefinedMetricError("scores must be finite (got NaN or inf)")
+    return scores
 
 
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative, ties
     counted one half (rank-based Mann-Whitney formulation)."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both a positive and a negative")
-    ranks = rankdata(scores, method="average")
-    pos_rank_sum = ranks[labels == 1].sum()
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # Each tie group's 1-based ranks run from first + 1 to last; every entry
+    # gets their mean, a half-integer, so the rank sum is exact in any order.
+    first = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    last = np.append(first[1:], len(ordered))
+    ranks = np.repeat((first + 1 + last) / 2.0, last - first)
+    pos_rank_sum = ranks[labels[order] == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -28,7 +40,7 @@ def average_precision(scores, labels) -> float:
     Ties break by stable sort on descending score, then input order; this makes
     the metric a deterministic function of the inputs.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     if n_pos == 0:

@@ -106,7 +106,8 @@ def _null_space(lap: NormalizedSupraLaplacian, count: int) -> tuple[np.ndarray, 
 
 
 def _dense_eigenpairs(lap: NormalizedSupraLaplacian, count: int) -> tuple[np.ndarray, np.ndarray]:
-    return scipy.linalg.eigh(lap.matrix.toarray(), subset_by_index=[0, count - 1], driver="evr",
+    # Fortran order: LAPACK overwrites this array in place; a C-ordered one it would copy first
+    return scipy.linalg.eigh(lap.matrix.toarray(order="F"), subset_by_index=[0, count - 1], driver="evr",
                              overwrite_a=True)
 
 

@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("lr", "weight_decay"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -250,6 +252,8 @@ def evaluate(
     naming the snapshot."""
     if len(split_range) == 0:
         raise ConfigError("evaluation range is empty")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     sampler = NegativeSampler.for_graph(g, strategy, train_range)
     per_snapshot: list[SnapshotEval] = []
     all_scores: list[np.ndarray] = []

@@ -75,6 +75,15 @@ class TestGenerate:
         assert "error: need n >= 1, t >= 1, num_blocks >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run("generate", "--kind", "sbm", "--n", 40, "--blocks", 2, "--t", 3,
+                   "--seed", -1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "train"])
     def test_missing_config_file_rejected(self, tmp_path, capsys, command):
         cfg = tmp_path / "nope.cfg"
@@ -211,6 +220,24 @@ class TestTrainEval:
         run("eval", "--run", run_dir, "--out", ev, "--seed", 0)
         for p, content in first.items():
             assert p.read_bytes() == content
+
+    def test_train_negative_seed_rejected(self, tmp_path, tiny_dataset, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--data", tiny_dataset, "--out", out, *TINY_FLAGS, "--seed", -1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
+    def test_eval_negative_seed_rejected(self, tmp_path, tiny_dataset, capsys):
+        run_dir, out = tmp_path / "run", tmp_path / "eval"
+        run("train", "--data", tiny_dataset, "--out", run_dir, *TINY_FLAGS)
+        capsys.readouterr()
+        assert run("eval", "--run", run_dir, "--out", out, "--seed", -1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not (out / "eval_random.json").exists()
 
     def test_unknown_encoding_rejected(self, tmp_path, tiny_dataset, capsys):
         assert run("train", "--data", tiny_dataset, "--out", tmp_path / "run",

@@ -157,6 +157,15 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             generate_sbm(5, 2, 0.5, 0.1, 1, seed=0)
 
+    @pytest.mark.parametrize("generate", [
+        lambda: generate_erdos_renyi(6, 0.5, 2, seed=-1),
+        lambda: generate_sbm(6, 2, 0.5, 0.1, 2, seed=-1),
+        lambda: generate_sbm_churn(6, 2, 0.5, 0.1, 2, seed=-1),
+    ], ids=["er", "sbm", "sbm-churn"])
+    def test_negative_seed_rejected(self, generate):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            generate()
+
     def test_sbm_density_within_3_sigma(self):
         # oracle: binomial confidence interval on pooled intra/inter pair counts
         n, t, p_in, p_out = 50, 10, 0.5, 0.05

@@ -440,6 +440,14 @@ class TestAttentionKernel:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["1"]
 
+    def test_import_loads_no_scipy_stats(self):
+        # scipy.stats alone costs a process about 39 MiB and 0.6 s to import
+        code = "import sys, slate, slate.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
     def test_no_thread_outlives_the_call(self, monkeypatch, handoffs):
         monkeypatch.setattr(nn, "ATTENTION_BLOCK", 6 * 7 * 2)
         monkeypatch.setattr(nn, "_workers", lambda: 2)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -273,6 +274,20 @@ class TestDenseAgainstFullSolve:
     def test_single_row(self):
         lap = normalized_laplacian(sp.csr_array((1, 1)), allow_isolated=True)
         self.check(lap, 1)
+
+    def test_solve_holds_one_dense_copy(self):
+        # LAPACK overwrites the Fortran-ordered dense matrix in place; a
+        # C-ordered one it would copy first, doubling the peak
+        g = generate_erdos_renyi(600, 0.02, 1, seed=3)
+        lap = normalized_laplacian(symmetric_adjacency(600, g.snapshots[0].edge_array),
+                                   allow_isolated=True)
+        tracemalloc.start()
+        try:
+            smallest_eigenpairs(lap, 8, method="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * lap.size ** 2 * 8, f"peak {peak / (lap.size ** 2 * 8):.2f} x n^2 float64"
 
     @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 3), (3, 4)], [(0, 2), (2, 4), (4, 1)]])
     def test_lap_pe_small_snapshots(self, edges):

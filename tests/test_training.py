@@ -71,6 +71,29 @@ class TestAuc:
             scores = np.round(rng.random(n), 1)  # coarse grid forces ties
             assert abs(auc(scores, labels) - brute_force_auc(scores, labels)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(UndefinedMetricError, match="scores must be finite"):
+            auc([bad, 0.2, 0.3], [1, 0, 1])
+
+    # a coarse grid forces ties; +-0.0 tie with each other, subnormals rank apart
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 5e-324, -5e-324, 1e-310,
+                                               0.25, 0.5, 1.0, 3.0]),
+                              st.integers(0, 1)),
+                    min_size=2, max_size=400))
+    def test_bit_identical_to_rankdata_formula(self, rows):
+        from scipy.stats import rankdata
+
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([y for _, y in rows])
+        labels[:2] = [1, 0]
+        n_pos = int(labels.sum())
+        n_neg = len(labels) - n_pos
+        ranks = rankdata(scores, method="average")
+        expected = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        assert auc(scores, labels) == expected
+
 
 class TestAveragePrecision:
     def test_all_positives_first(self):
@@ -94,6 +117,11 @@ class TestAveragePrecision:
             assert abs(
                 average_precision(scores, labels) - brute_force_ap(scores, labels)
             ) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(UndefinedMetricError, match="scores must be finite"):
+            average_precision([bad, 0.2, 0.3], [1, 0, 1])
 
 
 def graph_from_edge_lists(n, per_snapshot):
@@ -394,6 +422,12 @@ class TestEvaluate:
         assert (after.aggregate_auc, after.aggregate_ap) == (before.aggregate_auc, before.aggregate_ap)
         assert [(s.auc, s.ap) for s in after.per_snapshot] == [(s.auc, s.ap) for s in before.per_snapshot]
 
+    def test_negative_seed_rejected(self):
+        g = generate_sbm(12, 2, 0.6, 0.1, 6, seed=2)
+        model = TrainConfig(w=2, k=2, d=16, heads=2, nhead_xa=1, ffn_dim=32).build_model(g.num_nodes)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            evaluate(model, g, range(4, 6), seed=-1)
+
     def test_one_row_per_nonempty_test_snapshot(self):
         # the final snapshot has no positives: skipped before its window is built
         g = graph_from_edge_lists(
@@ -455,10 +489,11 @@ class TestTrainConfig:
         (dict(lr=float("inf")), "lr must be finite and >= 0, got inf"),
         (dict(weight_decay=-1e-4), "weight_decay must be finite and >= 0, got -0.0001"),
         (dict(weight_decay=float("nan")), "weight_decay must be finite and >= 0, got nan"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
     ], ids=["pooling", "pool-last-k", "encoding", "k-not-below-d", "window", "k-zero", "ffn-zero",
             "heads-zero", "heads-negative", "heads-not-dividing", "nhead-xa-zero", "nhead-xa-not-dividing",
             "epochs-zero", "patience-negative", "d-time-negative", "lr-negative", "lr-nan", "lr-inf",
-            "weight-decay-negative", "weight-decay-nan"])
+            "weight-decay-negative", "weight-decay-nan", "seed-negative"])
     def test_bad_setting_raises_config_error(self, setting, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**setting)
