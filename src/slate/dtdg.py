@@ -40,7 +40,8 @@ class Snapshot:
     def from_edges(num_nodes: int, edges) -> "Snapshot":
         """The snapshot of edges, (u, v) pairs or an (E, 2) integer array;
         an edge given twice, in either orientation, counts once."""
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64,
+                           order="C")  # np.sort keeps its input's layout
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
         pairs = np.sort(pairs.reshape(-1, 2), axis=1)  # a copy, each row (lo, hi)
@@ -236,6 +237,11 @@ def save_dataset(g: DynamicGraph, out, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Uniforms one generator call draws at a time: its scratch arrays hold at most
+# this many float64 values, whatever the number of node pairs.
+PAIR_CHUNK = 1 << 20
+
+
 def generate_erdos_renyi(n: int, p: float, t: int, seed: int) -> DynamicGraph:
     """Each unordered pair wired independently with probability p, per snapshot:
     the one-block block model."""
@@ -254,6 +260,48 @@ def _check_block_model(n: int, num_blocks: int, p_in: float, p_out: float, t: in
             raise ConfigError("probabilities must be in [0,1]")
 
 
+def _row_starts(n: int) -> np.ndarray:
+    """Position of pair (u, u+1) in the lexicographic order of the n(n-1)/2
+    unordered pairs, for each u; the last entry is the pair count."""
+    u = np.arange(n, dtype=np.int64)
+    return u * (2 * n - u - 1) // 2
+
+
+def _candidates(rng, starts: np.ndarray, bound: float, rounds: int = 1):
+    """Draw one uniform per unordered pair, in lexicographic order, rounds
+    times over, PAIR_CHUNK at a time; return (position, u, v, uniform) of the
+    draws below bound, in draw order. A position counts draws from the first,
+    so round k's positions start at k * n(n-1)/2."""
+    num_pairs = int(starts[-1])
+    total = num_pairs * rounds
+    pos, r = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for lo in range(0, total, PAIR_CHUNK):
+        draw = rng.random(min(PAIR_CHUNK, total - lo))
+        hit = np.flatnonzero(draw < bound)
+        pos.append(hit + lo)
+        r.append(draw[hit])
+    pos, r = np.concatenate(pos), np.concatenate(r)
+    pair = pos % num_pairs
+    u = np.searchsorted(starts, pair, side="right") - 1
+    return pos, u, pair - starts[u] + u + 1, r
+
+
+def _uniforms_at(rng, pos: np.ndarray, num_pairs: int) -> np.ndarray:
+    """Draw num_pairs uniforms, PAIR_CHUNK at a time, and return those at the
+    ascending positions pos."""
+    if not len(pos) and not rng.bit_generator.state["has_uint32"]:
+        # advance() would drop a 32-bit value that rng.integers left buffered.
+        rng.bit_generator.advance(num_pairs)
+        return np.empty(0)
+    out, a = np.empty(len(pos)), 0
+    for lo in range(0, num_pairs, PAIR_CHUNK):
+        draw = rng.random(min(PAIR_CHUNK, num_pairs - lo))
+        b = int(np.searchsorted(pos, lo + len(draw)))
+        out[a:b] = draw[pos[a:b] - lo]
+        a = b
+    return out
+
+
 def generate_sbm(
     n: int,
     num_blocks: int,
@@ -266,17 +314,21 @@ def generate_sbm(
 
     Blocks are contiguous id ranges of equal size; intra-block pairs are wired
     with p_in and inter-block pairs with p_out, independently per snapshot.
+    Each snapshot in turn draws one uniform per unordered pair, in
+    lexicographic order; the draws are taken PAIR_CHUNK at a time, and only
+    those below max(p_in, p_out) are tested, so memory is O(PAIR_CHUNK + E)
+    at any n, E being the edges over all snapshots.
     """
     _check_block_model(n, num_blocks, p_in, p_out, t, seed)
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
-    i, j = np.triu_indices(n, 1)  # every unordered pair, lexicographic
-    prob = np.where(block[i] == block[j], p_in, p_out)
-    snaps = []
-    for _ in range(t):
-        keep = rng.random(len(i)) < prob
-        snaps.append(Snapshot.from_edges(n, np.stack([i[keep], j[keep]], axis=1)))
-    return DynamicGraph(n, tuple(snaps))
+    starts = _row_starts(n)
+    # No other draw comes between two snapshots', so all t are one stream.
+    pos, u, v, r = _candidates(rng, starts, max(p_in, p_out), t)
+    keep = r < np.where(block[u] == block[v], p_in, p_out)
+    cuts = np.searchsorted(pos[keep], np.arange(1, t) * starts[-1])
+    edges = np.split(np.stack([u[keep], v[keep]], axis=1), cuts)
+    return DynamicGraph(n, tuple(Snapshot.from_edges(n, e) for e in edges))
 
 
 def generate_sbm_churn(
@@ -302,6 +354,13 @@ def generate_sbm_churn(
     probability per step. With edge_persist > 0, an edge whose endpoints stay
     active carries over with that probability, and fresh draws are thinned by
     (1 - edge_persist), so recent pair structure predicts the next snapshot.
+
+    Each snapshot draws one carry-over uniform per unordered pair, then one
+    fresh uniform per pair, each in lexicographic order and PAIR_CHUNK at a
+    time. Only the previous snapshot's edges read their carry-over uniform,
+    and only the pairs whose fresh uniform is below
+    max(p_in, p_out) * (1 - edge_persist) are tested, so memory is
+    O(PAIR_CHUNK + E) at any n.
     """
     _check_block_model(n, num_blocks, p_in, p_out, t, seed)
     if not 0.0 < active_prob < 1.0:
@@ -312,27 +371,33 @@ def generate_sbm_churn(
             raise ConfigError(f"{name} must be in [0,1]")
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
-    i, j = np.triu_indices(n, 1)  # every unordered pair, lexicographic
-    fresh_prob = np.where(block[i] == block[j], p_in, p_out) * (1.0 - edge_persist)
+    starts = _row_starts(n)
+    fresh_bound = max(p_in, p_out) * (1.0 - edge_persist)
     # Transition rates keeping active_prob stationary: P(off->on) and P(on->off).
     p_on = flip_prob * active_prob
     p_off = flip_prob * (1.0 - active_prob)
     active = rng.random(n) < active_prob
-    prev_keep = np.zeros(len(i), dtype=bool)
+    prev = np.empty((3, 0), dtype=np.int64)  # (position, u, v) of the last snapshot's edges
     snaps = []
     for _ in range(t):
-        carried = prev_keep & (rng.random(len(i)) < edge_persist)
-        fresh = rng.random(len(i)) < fresh_prob
-        keep = (carried | fresh) & active[i] & active[j]
-        snaps.append(Snapshot.from_edges(n, np.stack([i[keep], j[keep]], axis=1)))
-        prev_keep = keep
+        carry = prev if edge_persist > 0.0 else prev[:, :0]
+        r = _uniforms_at(rng, carry[0], int(starts[-1]))
+        carried = carry[:, (r < edge_persist) & active[carry[1]] & active[carry[2]]]
+        pos, u, v, r = _candidates(rng, starts, fresh_bound)
+        fresh = ((r < np.where(block[u] == block[v], p_in, p_out) * (1.0 - edge_persist))
+                 & active[u] & active[v])
+        kept = np.stack([pos[fresh], u[fresh], v[fresh]])
+        if carried.shape[1]:
+            kept = np.concatenate([carried, kept], axis=1)
+            kept = kept[:, np.unique(kept[0], return_index=True)[1]]
+        snaps.append(Snapshot.from_edges(n, kept[1:].T))
+        prev = kept
         flips = rng.random(n)
         active = np.where(active, flips >= p_off, flips < p_on)
         if drift_prob > 0.0:
             moving = rng.random(n) < drift_prob
             shifts = rng.integers(1, num_blocks, size=n)
             block = np.where(moving, (block + shifts) % num_blocks, block)
-            fresh_prob = np.where(block[i] == block[j], p_in, p_out) * (1.0 - edge_persist)
     return DynamicGraph(n, tuple(snaps))
 
 

@@ -46,7 +46,8 @@ class ShapeError(SlateError):
 
 
 class UndefinedMetricError(SlateError):
-    """Metric is undefined for the given input: single-class labels, or a NaN or
+    """Metric is undefined for the given input: single-class labels, a label
+    other than 0 or 1, labels and scores of different lengths, or a NaN or
     infinite score."""
 
 

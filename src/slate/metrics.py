@@ -7,18 +7,23 @@ import numpy as np
 from .errors import UndefinedMetricError
 
 
-def _finite_scores(scores) -> np.ndarray:
+def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and labels as given, once both are known to be usable."""
     scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
     if not np.isfinite(scores).all():
         raise UndefinedMetricError("scores must be finite (got NaN or inf)")
-    return scores
+    if scores.shape != labels.shape:
+        raise UndefinedMetricError(f"{scores.size} scores but {labels.size} labels")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise UndefinedMetricError("labels must be 0 or 1")
+    return scores, labels
 
 
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative, ties
     counted one half (rank-based Mann-Whitney formulation)."""
-    scores = _finite_scores(scores)
-    labels = np.asarray(labels)
+    scores, labels = _checked(scores, labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -40,8 +45,7 @@ def average_precision(scores, labels) -> float:
     Ties break by stable sort on descending score, then input order; this makes
     the metric a deterministic function of the inputs.
     """
-    scores = _finite_scores(scores)
-    labels = np.asarray(labels)
+    scores, labels = _checked(scores, labels)
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")

@@ -2,12 +2,14 @@ import hashlib
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slate import dtdg
 from slate.dtdg import (
     DynamicGraph,
     Snapshot,
@@ -298,14 +300,15 @@ def test_snapshot_matches_per_edge_construction(edges):
         degree[u] += 1
         degree[v] += 1
     both_ways = edges + [(v, u) for u, v in edges]
-    for given_edges in (edges, np.array(edges, dtype=np.int32).reshape(-1, 2), iter(edges), both_ways):
+    for given_edges in (edges, np.array(edges, dtype=np.int32).reshape(-1, 2), iter(edges), both_ways,
+                        np.array(edges).T.copy().T):  # a column-major array
         snap = Snapshot.from_edges(8, given_edges)
         assert snap.edges == canon
         assert snap.degree.dtype == np.int64 and np.array_equal(snap.degree, degree)
         assert not snap.degree.flags.writeable
         # the edge array: read-only, u < v, rows strictly ascending, the sorted edge set
         arr = snap.edge_array
-        assert arr.dtype == np.int64 and arr.shape == (len(canon), 2)
+        assert arr.dtype == np.int64 and arr.shape == (len(canon), 2) and arr.flags.c_contiguous
         assert not arr.flags.writeable
         assert np.all(arr[:, 0] < arr[:, 1])
         assert np.all(np.diff(arr[:, 0] * 8 + arr[:, 1]) > 0)
@@ -325,7 +328,10 @@ def graph_digest(graphs) -> str:
 
 
 # The generator settings of C6, C7, the bench workloads and `slate generate`,
-# with the digests their graphs had before snapshots were built from arrays.
+# with the digests their graphs had before snapshots were built from arrays,
+# and one drifting churn setting without persistence, whose generator skips
+# the unread carry-over uniforms unless rng.integers left a 32-bit value
+# buffered (its digest is that of the generator that drew every pair at once).
 GENERATED = {
     "c6": (generate_sbm, dict(n=50, num_blocks=2, p_in=0.5, p_out=0.05, t=10), range(3)),
     "c7": (generate_sbm_churn, dict(n=50, num_blocks=2, p_in=0.35, p_out=0.35, t=14, active_prob=0.5,
@@ -337,6 +343,8 @@ GENERATED = {
     "cli-er": (generate_erdos_renyi, dict(n=12, p=0.05, t=2), range(5, 8)),
     "cli-churn-drift": (generate_sbm_churn, dict(n=30, num_blocks=3, p_in=0.5, p_out=0.05, t=6,
                                                  drift_prob=0.1, edge_persist=0.3), range(3)),
+    "churn-drift-no-persist": (generate_sbm_churn, dict(n=51, num_blocks=3, p_in=0.4, p_out=0.05, t=8,
+                                                        drift_prob=0.2), range(3)),
 }
 
 GENERATED_DIGESTS = {
@@ -346,6 +354,7 @@ GENERATED_DIGESTS = {
     "scale-train": "a461aeb2d4910977feb770e6effc9bfaedb7a6c0384a5529f0bf91c49ce63c27",
     "cli-er": "6509b7417a0581a126dc89300f5d7f527e18a26506f4bbde78a2848a930a2ab3",
     "cli-churn-drift": "b6acbf82ae8e6bbd845b8e98338e4614dd31260d072059ee76534b249a33ceb6",
+    "churn-drift-no-persist": "1a00f6b6d3efea62dabfd5609262e58bbdcd00c7c6f1d364289c280672043b30",
 }
 
 
@@ -353,6 +362,26 @@ GENERATED_DIGESTS = {
 def test_generated_graphs_are_unchanged(name):
     generate, kwargs, seeds = GENERATED[name]
     assert graph_digest(generate(seed=seed, **kwargs) for seed in seeds) == GENERATED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_graphs_do_not_depend_on_the_chunk_size(name, monkeypatch):
+    # 1,009 pairs per draw: every setting but the two smallest CLI ones crosses
+    # chunk boundaries
+    monkeypatch.setattr(dtdg, "PAIR_CHUNK", 1009)
+    test_generated_graphs_are_unchanged(name)
+
+
+@pytest.mark.parametrize("generate", [generate_sbm, generate_sbm_churn])
+def test_generator_memory_does_not_grow_with_the_pair_count(generate):
+    # 8.0M pairs: one float64 array per pair would be 61 MiB
+    tracemalloc.start()
+    try:
+        generate(4000, 4, 0.004, 0.0005, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_dynamic_graph_needs_a_snapshot():

@@ -76,6 +76,16 @@ class TestAuc:
         with pytest.raises(UndefinedMetricError, match="scores must be finite"):
             auc([bad, 0.2, 0.3], [1, 0, 1])
 
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1, 0, 0.5]])
+    def test_label_other_than_0_or_1_rejected(self, labels):
+        with pytest.raises(UndefinedMetricError, match="labels must be 0 or 1"):
+            auc([0.3, 0.1, 0.2], labels)
+
+    @pytest.mark.parametrize("scores, labels", [([0.3, 0.1], [1, 0, 1]), ([0.3, 0.1, 0.2], [1, 0])])
+    def test_length_mismatch_rejected(self, scores, labels):
+        with pytest.raises(UndefinedMetricError, match="scores but"):
+            auc(scores, labels)
+
     # a coarse grid forces ties; +-0.0 tie with each other, subnormals rank apart
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 5e-324, -5e-324, 1e-310,
@@ -122,6 +132,16 @@ class TestAveragePrecision:
     def test_non_finite_score_rejected(self, bad):
         with pytest.raises(UndefinedMetricError, match="scores must be finite"):
             average_precision([bad, 0.2, 0.3], [1, 0, 1])
+
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1, 0, 0.5]])
+    def test_label_other_than_0_or_1_rejected(self, labels):
+        with pytest.raises(UndefinedMetricError, match="labels must be 0 or 1"):
+            average_precision([0.3, 0.1, 0.2], labels)
+
+    @pytest.mark.parametrize("scores, labels", [([0.3, 0.1], [1, 0, 1]), ([0.3, 0.1, 0.2], [1, 0])])
+    def test_length_mismatch_rejected(self, scores, labels):
+        with pytest.raises(UndefinedMetricError, match="scores but"):
+            average_precision(scores, labels)
 
 
 def graph_from_edge_lists(n, per_snapshot):
