@@ -112,6 +112,17 @@ def _add_flags(sub: argparse.ArgumentParser, schema: Schema) -> None:
         sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=parser, default=None)
 
 
+def _out_dir(cfg: dict) -> Path:
+    """The run's --out directory, made with its parents; ConfigError when it
+    cannot be, e.g. because --out names an existing file."""
+    out = Path(cfg["out"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {out} ({type(exc).__name__})") from exc
+    return out
+
+
 def _split_ranges(cfg: dict, g: DynamicGraph):
     if cfg["split"] == "ratio":
         spec = SplitSpec.ratio(cfg["train_frac"], cfg["val_frac"], cfg["test_frac"])
@@ -148,8 +159,7 @@ def cmd_generate(args) -> int:
         )
     else:
         raise SlateError(f"unknown dataset kind {kind!r}")
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     save_dataset(g, out, cfg["name"])
     write_echo(cfg, out / "config.txt")
     print(f"wrote {cfg['name']}: {g.num_nodes} nodes, {g.num_snapshots} snapshots -> {out}")
@@ -187,8 +197,7 @@ def _layer_means(table, masks) -> list[float]:
 
 def cmd_inspect(args) -> int:
     cfg = _resolve(_INSPECT, args)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     g = load_dataset(cfg["data"])
     window = window_of(g, cfg["t"], cfg["w"])
     summary: dict = {"window": list(window.members), "k": cfg["k"]}
@@ -233,8 +242,7 @@ def cmd_inspect(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve(_TRAIN, args)
     cfg["data"] = str(Path(cfg["data"]).resolve())  # so `eval --run` finds it from any directory
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     g = load_dataset(cfg["data"])
     train_range, val_range, test_range = _split_ranges(cfg, g)
     tc = _train_config(cfg)
@@ -261,8 +269,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(_EVAL, args)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     run_dir = Path(cfg["run"])
     for name in ("config.txt", "model.ckpt"):
         if not (run_dir / name).is_file():
@@ -316,8 +323,7 @@ def cmd_ablate(args) -> int:
     cfg = _resolve(_ABLATE, args)
     if cfg["seeds"] < 1:
         raise ConfigError("--seeds must be >= 1")
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     g = load_dataset(cfg["data"])
     train_range, val_range, test_range = _split_ranges(cfg, g)
     base = _train_config(cfg | {name: _TRAIN_FIELDS[name][1] for name in _CELL_FIELDS})

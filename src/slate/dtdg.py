@@ -369,6 +369,8 @@ def generate_sbm_churn(
                         ("edge_persist", edge_persist)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must be in [0,1]")
+    if drift_prob > 0.0 and num_blocks < 2:
+        raise ConfigError("drift_prob > 0 needs num_blocks >= 2, a block to drift to")
     rng = np.random.default_rng(seed)
     block = np.arange(n) // (n // num_blocks)
     starts = _row_starts(n)

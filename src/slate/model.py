@@ -101,16 +101,6 @@ class SlateModel:
         self.head_b2 = store.zeros("head.b2", 1)
         self.store = store
 
-    def param_groups(self) -> dict[str, list[str]]:
-        names = list(self.store.parameters())
-        return {
-            "embed": [n for n in names if n.startswith("embed.")],
-            "st": [n for n in names if n.startswith("st.")],
-            "encoder": [n for n in names if n.startswith("encoder.")],
-            "xa": [n for n in names if n.startswith("xa.")],
-            "head": [n for n in names if n.startswith("head.")],
-        }
-
     # -- forward passes ------------------------------------------------------
 
     def token_sequence(self, raw, num_members: int) -> Tensor:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import struct
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -697,56 +697,28 @@ def encoder_layer(z: Tensor, params: EncoderLayerParams) -> Tensor:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"SLCP"
-CHECKPOINT_VERSION = 1
-
 
 def save_checkpoint(store: ParameterStore, path) -> None:
-    """Flat little-endian binary: magic, version, count; then per parameter,
-    name (u32 length + utf-8), shape (u32 rank + u64 dims), float64 payload."""
-    params = store.parameters()
+    """An uncompressed .npz archive with one float64 member per parameter.
+    Written through a file handle, so np.savez adds no .npz suffix to path."""
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
-        for name, p in params.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}Q", *p.data.shape))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        np.savez(fh, **{name: p.data for name, p in store.parameters().items()})
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """The parameters of a save_checkpoint file. Every length field is checked
-    against the bytes left before anything is read, so a corrupt or truncated
-    file, or one with bytes after the last parameter, raises ConfigError."""
-    with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-
-        def read(size: int) -> bytes:
-            if size > end - fh.tell():
-                raise ConfigError(f"{path}: truncated checkpoint")
-            return fh.read(size)
-
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ConfigError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", read(4))
-            try:
-                name = read(name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}: parameter name is not UTF-8") from exc
-            (rank,) = struct.unpack("<I", read(4))
-            shape = struct.unpack(f"<{rank}Q", read(8 * rank))
-            if max(shape, default=0) > end:  # longer than any array this file can hold
-                raise ConfigError(f"{path}: dimension {max(shape)} exceeds the file size")
-            data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-            out[name] = data.astype(np.float64)
-        if fh.tell() != end:
-            raise ConfigError(f"{path}: {end - fh.tell()} trailing bytes after the last parameter")
+    """The parameters of a save_checkpoint file. A file that is not an .npz
+    archive, a truncated or corrupt one (zip's CRC-32 covers every member),
+    a forged array header, or a member that is not float64 raises
+    ConfigError."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path}: not a checkpoint archive")
+        with archive:
+            out = {name: archive[name] for name in archive.files}
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError, MemoryError) as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint ({type(exc).__name__})") from exc
+    for name, value in out.items():
+        if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+            raise ConfigError(f"{path}: parameter {name!r} is not a float64 array")
     return out

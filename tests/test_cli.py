@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,15 @@ class TestGenerate:
                    "--seed", -1, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_drift_with_one_block_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run("generate", "--kind", "sbm-churn", "--n", 10, "--blocks", 1, "--t", 3,
+                   "--drift-prob", 0.1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: drift_prob > 0 needs num_blocks >= 2")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -276,6 +286,22 @@ class TestTrainEval:
         assert run("eval", "--run", run_dir, "--out", tmp_path / "eval") == 2
         assert f"error: {run_dir}: not a training run (no {name})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:len(blob) // 2],
+        lambda blob: b"SLCP" + struct.pack("<II", 1, 0),  # the format before .npz archives
+    ], ids=["truncated", "old-format"])
+    def test_eval_rejects_bad_checkpoint(self, tmp_path, tiny_dataset, capsys, damage):
+        run_dir = tmp_path / "run"
+        run("train", "--data", tiny_dataset, "--out", run_dir, *TINY_FLAGS)
+        ckpt = run_dir / "model.ckpt"
+        ckpt.write_bytes(damage(ckpt.read_bytes()))
+        capsys.readouterr()
+        assert run("eval", "--run", run_dir, "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: unreadable checkpoint")
+        assert "Traceback" not in err
+        assert not (tmp_path / "eval" / "eval_random.json").exists()
+
     def test_eval_from_another_directory(self, tmp_path, tiny_dataset, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run("train", "--data", "data/tiny", "--out", "run", *TINY_FLAGS) == 0
@@ -404,3 +430,20 @@ class TestAblate:
         cell = json.loads((out / "summary.json").read_text())["cells"][0]
         assert cell["seeds"] == 2
         assert cell["std_auc"] >= 0.0
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("generate", ("--kind", "er", "--n", 6, "--t", 2)),
+    ("inspect", ("--data", "nope", "--t", 1)),
+    ("train", ("--data", "nope")),
+    ("eval", ("--run", "nope")),
+    ("ablate", ("--data", "nope")),
+], ids=["generate", "inspect", "train", "eval", "ablate"])
+def test_out_naming_a_file_rejected(tmp_path, capsys, command, flags):
+    out = tmp_path / "afile"
+    out.write_text("keep\n")
+    assert run(command, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create directory {out} (FileExistsError)")
+    assert "Traceback" not in err
+    assert out.read_text() == "keep\n"

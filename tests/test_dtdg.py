@@ -411,6 +411,11 @@ class TestChurnGenerator:
                 joint += len(e1 - e0)
         assert carry / prev > 3 * (joint / base)  # yesterday's edges strongly persist
 
+    def test_drift_with_one_block_rejected(self):
+        with pytest.raises(ConfigError, match="drift_prob > 0 needs num_blocks >= 2"):
+            generate_sbm_churn(10, 1, 0.5, 0.1, 3, seed=0, drift_prob=0.1)
+        generate_sbm_churn(10, 1, 0.5, 0.1, 3, seed=0)  # one block without drift is fine
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ConfigError):
             generate_sbm_churn(10, 2, 0.5, 0.1, 3, seed=0, edge_persist=1.5)

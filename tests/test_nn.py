@@ -1,3 +1,4 @@
+import io
 import math
 import multiprocessing
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -814,6 +816,34 @@ class TestDeterminism:
         assert np.abs(w.data).max() <= 1.0 / 4.0
 
 
+def two_parameter_checkpoint(path) -> ParameterStore:
+    store = ParameterStore(3)
+    store.weight("layer.w", 4, 6)
+    store.zeros("layer.b", 6)
+    nn.save_checkpoint(store, path)
+    return store
+
+
+def forged_name_length(path) -> None:
+    """A saved archive whose first member's name-length field reads 0xFFFF."""
+    two_parameter_checkpoint(path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, 26, 0xFFFF)  # offset 26 of the member's local header
+    path.write_bytes(bytes(blob))
+
+
+def forged_array_header(shape):
+    """An archive whose one member's .npy header declares float64 `shape` in
+    front of only 64 payload bytes."""
+    def forge(path) -> None:
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("p.npy", buf.getvalue() + bytes(64))
+    return forge
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         store = ParameterStore(3)
@@ -822,9 +852,11 @@ class TestCheckpoint:
         store.embedding("table", 5, 4)
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(store, path)
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]  # no .npz suffix
         loaded = nn.load_checkpoint(path)
         assert set(loaded) == {"layer.w", "layer.b", "table"}
         for name, p in store.parameters().items():
+            assert loaded[name].dtype == np.float64
             assert np.array_equal(loaded[name], p.data)
         other = ParameterStore(99)
         other.weight("layer.w", 4, 6)
@@ -835,32 +867,74 @@ class TestCheckpoint:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ConfigError):
+        # junk, and one parameter 'p' of shape (1,) in the flat binary format
+        # used before .npz archives
+        for content in (b"NOPE" + b"\x00" * 16,
+                        b"SLCP" + struct.pack("<III", 1, 1, 1) + b"p"
+                        + struct.pack("<IQ", 1, 1) + bytes(8)):
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match="unreadable checkpoint"):
+                nn.load_checkpoint(path)
+
+    def test_plain_npy_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(ConfigError, match="not a checkpoint archive"):
             nn.load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        store = ParameterStore(3)
-        store.weight("layer.w", 4, 6)
-        store.zeros("layer.b", 6)
         path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(store, path)
+        two_parameter_checkpoint(path)
         blob = path.read_bytes()
-        # every cut: inside the header, a name, a shape and a payload
+        # every cut: inside a member's zip header, name, .npy header and
+        # payload, and inside the central directory
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(ConfigError):
                 nn.load_checkpoint(path)
 
     def test_non_utf8_name_rejected(self, tmp_path):
-        store = ParameterStore(3)
-        store.zeros("b", 1)
         path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(store, path)
+        two_parameter_checkpoint(path)
         blob = bytearray(path.read_bytes())
-        blob[16] = 0xFF  # first byte of the parameter name
+        assert blob[30:41] == b"layer.w.npy"  # the first member's name in its local header
+        blob[30] = 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(ConfigError, match="not UTF-8"):
+        with pytest.raises(ConfigError, match="BadZipFile"):
+            nn.load_checkpoint(path)
+
+    def test_flipped_payload_bit_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        store = two_parameter_checkpoint(path)
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(store["layer.w"].data.tobytes()) + 100] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="BadZipFile"):  # zip's CRC-32
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("forge", [
+        forged_name_length,
+        forged_array_header((2**40,)),
+        forged_array_header((2**32, 2**32)),
+        forged_array_header((2,) * 64),  # 2**64 items: 0 in int64 arithmetic
+        # 2**63 is out of int64's range, which numpy's reader warns about
+        pytest.param(forged_array_header((0, 2**63)), marks=pytest.mark.filterwarnings(
+            "ignore:invalid value encountered in reduce:RuntimeWarning")),
+    ], ids=["name-length", "dimension", "dims-overflow-int64", "items-overflow-int64",
+            "empty-with-huge-dimension"])
+    def test_length_field_beyond_the_file_rejected(self, tmp_path, forge):
+        path = tmp_path / "model.ckpt"
+        forge(path)
+        with pytest.raises(ConfigError, match="unreadable checkpoint"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float32], ids=["complex128", "float32"])
+    def test_non_float64_member_rejected(self, tmp_path, dtype):
+        path = tmp_path / "model.ckpt"
+        with open(path, "wb") as fh:
+            np.savez(fh, **{"layer.b": np.zeros(6), "layer.w": np.zeros((4, 6), dtype=dtype)})
+        with pytest.raises(ConfigError, match="'layer.w' is not a float64 array"):
             nn.load_checkpoint(path)
 
     def test_duplicate_name_rejected(self):
@@ -868,29 +942,3 @@ class TestCheckpoint:
         store.zeros("p", 1)
         with pytest.raises(ConfigError):
             store.zeros("p", 1)
-
-    @pytest.mark.parametrize("name_len, rank, dims, message", [
-        (2**32 - 1, 1, (4,), "truncated"),
-        (1, 2**32 - 1, (4,), "truncated"),
-        (1, 1, (2**40,), "dimension 1099511627776 exceeds"),
-        (1, 2, (2**32, 2**32), "dimension 4294967296 exceeds"),
-        (1, 64, (2,) * 64, "truncated"),  # 2**64 items: 0 in int64 arithmetic
-        (1, 2, (0, 2**63), "dimension 9223372036854775808 exceeds"),
-    ], ids=["name-length", "rank", "dimension", "dims-overflow-int64", "items-overflow-int64",
-            "empty-with-huge-dimension"])
-    def test_length_field_beyond_the_file_rejected(self, tmp_path, name_len, rank, dims, message):
-        path = tmp_path / "model.ckpt"
-        header = struct.pack("<II", nn.CHECKPOINT_VERSION, 1) + struct.pack("<I", name_len) + b"p"
-        shape = struct.pack("<I", rank) + struct.pack(f"<{len(dims)}Q", *dims)
-        path.write_bytes(nn.CHECKPOINT_MAGIC + header + shape + bytes(64))
-        with pytest.raises(ConfigError, match=message):
-            nn.load_checkpoint(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        store = ParameterStore(3)
-        store.zeros("b", 2)
-        path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(store, path)
-        path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(ConfigError, match="1 trailing bytes after the last parameter"):
-            nn.load_checkpoint(path)
