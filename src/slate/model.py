@@ -117,7 +117,8 @@ class SlateModel:
 
     def encode(self, z: Tensor) -> Tensor:
         """One encoder layer of dense self-attention over all tokens of the
-        window."""
+        window. Equal tokens, such as one node's isolated slots, are computed
+        once, exactly (see nn.encoder_layer)."""
         return nn.encoder_layer(z, self.encoder)
 
     def _sequence_indices(self, nodes: np.ndarray, num_members: int) -> np.ndarray:

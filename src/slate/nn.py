@@ -12,9 +12,15 @@ probabilities from the kept row max and row sum, so no step holds the
 `linear` folds leading axes into one 2-D GEMM. Attention can take row indices
 into 2-D token tables: it then projects each table once and gathers the
 sequences from the projections, whose gradients `gather_rows` scatters back
-with one sparse matrix product. A forward/backward pass with its tape
-belongs to one thread: the active tape is per thread, so no-grad forwards over
-frozen parameters are safe to run concurrently with training.
+with one sparse matrix product. The encoder layer computes the bitwise-equal
+rows of its input once. Its keys and values come from one row per group of c
+equal rows, biased in `attention` by log c, which gives that row the softmax
+weight of its c copies. With no tape recording the whole layer runs on one row
+per group; under a tape the queries keep one row per input row and
+`merge_rows` hands each copy 1/c of its key row's gradient. A forward/backward
+pass with its tape belongs to one thread: the active tape is per thread, so
+no-grad forwards over frozen parameters are safe to run concurrently with
+training.
 
 A primitive keeps for its backward pass only what that pass reads, and
 copies nothing a view can stand for. Attention's output and gradients follow
@@ -165,11 +171,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias, the bias broadcast over all leading axes.
 
     The leading axes are folded into one, so forward and backward each run
-    plain 2-D GEMMs rather than numpy's batched matmul."""
+    plain 2-D GEMMs rather than numpy's batched matmul; the bias is added in
+    place into the GEMM's output."""
     if weight.data.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear: x{x.shape} @ W{weight.shape} + b{bias.shape}")
     x2 = x.data.reshape(-1, weight.shape[0])
-    out = Tensor((x2 @ weight.data + bias.data).reshape(*x.shape[:-1], weight.shape[1]))
+    y = x2 @ weight.data
+    y += bias.data
+    out = Tensor(y.reshape(*x.shape[:-1], weight.shape[1]))
 
     def backward():
         g = out.grad.reshape(-1, weight.shape[1])
@@ -259,6 +268,41 @@ def repeat_rows(a: Tensor, reps: int) -> Tensor:
     return _track(out, (a,), backward)
 
 
+def merge_rows(a: Tensor, first: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> Tensor:
+    """One row per group of equal rows of a 2-D tensor: row j is a[first[j]],
+    which equals the counts[j] rows i with inverse[i] == j.
+
+    Since a group's rows are equal, its row is also their mean, and the
+    backward pass is the mean's adjoint: each row of a group gets 1/c of the
+    group's gradient, c its row count."""
+    out = Tensor(a.data[first])
+
+    def backward():
+        if a.requires_grad:
+            _accumulate(a, (out.grad / counts[:, None])[inverse])
+
+    return _track(out, (a,), backward)
+
+
+def _row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The groups of bitwise-equal rows of a 2-D array, as (first, inverse,
+    counts) in order of first appearance: first[j] is group j's first row,
+    inverse[i] is row i's group, counts[j] is group j's row count, so
+    x[first][inverse] is x. None when x is not 2-D or has no repeated row.
+    Rows that differ only in a zero's sign are not equal."""
+    if x.ndim != 2:
+        return None
+    rows = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    if len(first) == len(rows):
+        return None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse], counts[order]
+
+
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
 
@@ -305,9 +349,15 @@ def _add_matmul(total: np.ndarray, a: np.ndarray, b: np.ndarray, product) -> Non
         np.add(total, np.matmul(a, b, out=product), out=total)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kᵀ) v over the last two axes: q (..., m, dh), k (..., n, dh),
-    v (..., n, dv), equal leading axes; no scaling and no masking.
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """softmax(q kᵀ + bias) v over the last two axes: q (..., m, dh), k (..., n,
+    dh), v (..., n, dv), equal leading axes; no scaling and no masking. bias,
+    a constant of shape (n,), is added to every query's scores.
+
+    A key biased by log c gets exactly the softmax weight of c copies of it, so
+    attention over the distinct rows of a key table, each biased by the log of
+    its copy count, equals attention over the whole table; its key and value
+    gradients are the sums of the copies' ones.
 
     Query rows are taken in blocks of at most ATTENTION_BLOCK score entries.
     A block holds whole rows against every key, so each row's softmax is exact
@@ -334,8 +384,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """
     if (q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
-            or k.shape[-2] != v.shape[-2] or q.shape[-1] != k.shape[-1]):
-        raise ShapeError(f"attention: q{q.shape}, k{k.shape}, v{v.shape}")
+            or k.shape[-2] != v.shape[-2] or q.shape[-1] != k.shape[-1]
+            or (bias is not None and np.shape(bias) != k.shape[-2:-1])):
+        raise ShapeError(f"attention: q{q.shape}, k{k.shape}, v{v.shape}, "
+                         f"bias{None if bias is None else np.shape(bias)}")
     lead, m, n = q.shape[:-2], q.shape[-2], k.shape[-2]
     rows = min(m, max(1, ATTENTION_BLOCK // max(1, math.prod(lead) * n)))
     blocks = [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
@@ -360,7 +412,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     def scores(part, b: slice, buf: np.ndarray) -> np.ndarray:
         qb = q.data[part][..., b, :]
-        return np.matmul(qb, kt[part], out=_first(buf[part], (*qb.shape[:-1], n)))
+        s = np.matmul(qb, kt[part], out=_first(buf[part], (*qb.shape[:-1], n)))
+        if bias is not None:
+            s += bias
+        return s
 
     s_buf = np.empty((*lead, rows, n))
 
@@ -599,6 +654,7 @@ def multi_head_attention(
     heads: int,
     params: AttentionParams,
     rows: tuple[np.ndarray, np.ndarray] | None = None,
+    bias: np.ndarray | None = None,
 ) -> Tensor:
     """Scaled dot-product attention, no masking, optional leading batch axis.
 
@@ -615,6 +671,10 @@ def multi_head_attention(
     on each table and the rows are gathered from the projected tables, which
     equals projecting the gathered rows, since a linear map commutes with a
     row gather; the output has shape (..., m, dim).
+
+    bias, of shape (n,), is passed to `attention`: every head adds it to every
+    query's scores. A key row that stands for c equal rows of a longer key
+    table, biased by log c, gives the attention over that table.
     """
     dim = q.shape[-1]
     if dim % heads != 0:
@@ -642,7 +702,7 @@ def multi_head_attention(
     Q = split(mul_scalar(linear(q, params.wq, params.bq), 1.0 / np.sqrt(dh)), q_rows)
     K = split(linear(kv, params.wk, params.bk), kv_rows)
     V = split(linear(kv, params.wv, params.bv), kv_rows)
-    core = attention(Q, K, V)
+    core = attention(Q, K, V, bias)
     return linear(reshape(permute(core, to_heads), q_shape), params.wo, params.bo)
 
 
@@ -679,13 +739,41 @@ def init_encoder_layer(
 
 def encoder_layer(z: Tensor, params: EncoderLayerParams) -> Tensor:
     """One transformer encoder block: attention + feed-forward with residuals,
-    pre-norm or post-norm per params.norm_first."""
+    pre-norm or post-norm per params.norm_first.
+
+    Bitwise-equal rows of a 2-D z are found once per call and computed once.
+    Keys and values are projected from one row per group of equal rows, and
+    `attention` biases each such key by log c, c its group's row count, which
+    gives it the softmax weight of its c copies. With no tape recording, the
+    whole block runs on one row per group and its output rows are copied back
+    to every row of the group: every other step works row by row. Under a
+    tape, queries, residuals, norms and the feed-forward keep one row per
+    input row, since each copy has its own gradient; `merge_rows` hands each
+    copy 1/c of its key row's gradient, which is exact because equal keys
+    have equal key and value gradients. A z with no repeated row runs the
+    plain block, with no bias.
+    """
+    groups = _row_groups(z.data)
+    if groups is None:
+        return _encoder_block(z, params)
+    first, inverse, counts = groups
+    bias = np.log(counts)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(_encoder_block(Tensor(z.data[first]), params, bias).data[inverse])
+    return _encoder_block(z, params, bias, groups)
+
+
+def _encoder_block(z: Tensor, params: EncoderLayerParams, bias=None, groups=None) -> Tensor:
+    """encoder_layer on z, its keys biased by bias; with groups, the
+    (first, inverse, counts) of z's equal rows, keys and values come from one
+    row per group."""
 
     def ffn(x):
         return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
 
     a = layer_norm(z, params.ln1_g, params.ln1_b) if params.norm_first else z
-    att = multi_head_attention(a, a, params.heads, params.attn)
+    kv = a if groups is None else merge_rows(a, *groups)
+    att = multi_head_attention(a, kv, params.heads, params.attn, bias=bias)
     if params.norm_first:
         h = add(z, att)
         return add(h, ffn(layer_norm(h, params.ln2_g, params.ln2_b)))

@@ -117,6 +117,15 @@ class TestLinear:
             assert x.grad is None
 
 
+    @pytest.mark.parametrize("lead", [(7,), (3, 5), (2, 3, 4)], ids=["2d", "3d", "4d"])
+    def test_in_place_bias_is_bit_identical(self, lead):
+        rng = np.random.default_rng(30 + len(lead))
+        x = Tensor(rng.standard_normal((*lead, 9)))
+        w = Tensor(rng.standard_normal((9, 5)))
+        b = Tensor(rng.standard_normal(5))
+        assert np.array_equal(nn.linear(x, w, b).data, x.data @ w.data + b.data)
+
+
 class TestGatherRows:
     @pytest.mark.parametrize("idx_shape", [(40,), (8, 5), (2, 4, 5)], ids=["1d", "2d", "3d"])
     @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-grad"])
@@ -318,11 +327,11 @@ class TestAttentionKernel:
                 for rows, cols in ((m, dh), (n, dh), (n, dv))]
 
     @staticmethod
-    def _run(q, k, v, g_out):
+    def _run(q, k, v, g_out, bias=None):
         for t in (q, k, v):
             t.grad = None
         with Tape() as tape:
-            out = nn.attention(q, k, v)
+            out = nn.attention(q, k, v, bias)
             tape.backward(weighted_sum(out, g_out))
         return out.data, [t.grad.copy() for t in (q, k, v)]
 
@@ -435,6 +444,45 @@ class TestAttentionKernel:
             assert np.array_equal(t.grad, ref), f"d{name}"
             assert np.transpose(t.grad, to_heads).flags.c_contiguous, f"d{name}"
 
+    @pytest.mark.parametrize("block", [None, 3 * 6 * 7], ids=["one-block", "blocked"])
+    def test_log_count_bias_equals_repeated_keys(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(nn, "ATTENTION_BLOCK", block)
+        q, k, v = self._inputs(25)
+        counts = np.array([1, 3, 2, 1, 1, 2, 1])
+        repeat = np.repeat(np.arange(7), counts)
+        k_rep, v_rep = (Tensor(t.data[..., repeat, :], requires_grad=True) for t in (k, v))
+        g_out = np.random.default_rng(26).standard_normal((3, 2, 11, 5))
+        out, grads = self._run(q, k, v, g_out, bias=np.log(counts))
+        ref_out, (ref_dq, ref_dk, ref_dv) = self._run(q, k_rep, v_rep, g_out)
+        assert_rel_close(out, ref_out)
+        assert_rel_close(grads[0], ref_dq)
+        for grad, ref in zip(grads[1:], (ref_dk, ref_dv)):  # a key's copies sum
+            summed = np.zeros_like(grad)
+            np.add.at(summed, (..., repeat, slice(None)), ref)
+            assert_rel_close(grad, summed)
+
+    def test_biased_pooled_is_bit_identical_to_one_worker(self, monkeypatch, handoffs):
+        monkeypatch.setattr(nn, "ATTENTION_BLOCK", 6 * 7 * 2)
+        q, k, v = self._inputs(27)
+        g_out = np.random.default_rng(28).standard_normal((3, 2, 11, 5))
+        bias = np.log(np.array([1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 2.0]))
+        runs = []
+        for count in (1, 2):
+            monkeypatch.setattr(nn, "_workers", lambda: count)
+            runs.append(self._run(q, k, v, g_out, bias=bias))
+        assert handoffs == [2, 2]
+        (out, grads), (p_out, p_grads) = runs
+        assert np.array_equal(p_out, out)
+        for name, grad, ref in zip("qkv", p_grads, grads):
+            assert np.array_equal(grad, ref), f"d{name}"
+
+    @pytest.mark.parametrize("bias_shape", [(6,), (8,), (11, 7), ()])
+    def test_bias_needs_one_entry_per_key(self, bias_shape):
+        q, k, v = self._inputs(29)
+        with pytest.raises(ShapeError, match="bias"):
+            nn.attention(q, k, v, np.zeros(bias_shape))
+
     def test_import_starts_no_thread(self):
         code = "import threading, slate, slate.nn; print(threading.active_count())"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -525,6 +573,99 @@ class TestEncoderLayer:
         tensors = [x, params.attn.wq, params.attn.wo, params.ln1_g, params.ln2_b,
                    params.w1, params.b1, params.w2]
         assert_grads_match(build, tensors, tol=1e-5)
+
+
+def layer_run(params, x, taped):
+    """encoder_layer on a copy of x: its output and, when taped, the gradients
+    of x and of every parameter under a fixed weighted readout."""
+    for p in params.values():
+        p.grad = None
+    z = Tensor(x.copy(), requires_grad=taped)
+    if not taped:
+        return nn.encoder_layer(z, params["layer"]).data, {}
+    readout = np.random.default_rng(40).standard_normal(x.shape)
+    with Tape() as tape:
+        out = nn.encoder_layer(z, params["layer"])
+        tape.backward(weighted_sum(nn.relu(out), readout))
+    grads = {name: p.grad.copy() for name, p in params.items() if name != "layer"}
+    return out.data, grads | {"x": z.grad.copy()}
+
+
+def layer_params(norm_first: bool) -> dict:
+    store = ParameterStore(41)
+    layer = nn.init_encoder_layer(store, "enc", 16, 2, 32, norm_first)
+    rng = np.random.default_rng(42)
+    for p in store.parameters().values():  # no zero bias, no unit gain
+        p.data += 0.1 * rng.standard_normal(p.shape)
+    return store.parameters() | {"layer": layer}
+
+
+class TestRepeatedRows:
+    """encoder_layer computes equal rows once; `_row_groups` returning None
+    forces the plain block on every row, the reference."""
+
+    # groups of one, two and three equal rows, interleaved
+    REPEATS = [0, 1, 1, 2, 3, 3, 3, 4, 5, 6, 0, 2]
+
+    @staticmethod
+    def unmerged(monkeypatch, params, x, taped):
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "_row_groups", lambda x: None)
+            return layer_run(params, x, taped)
+
+    @pytest.mark.parametrize("norm_first", [True, False], ids=["pre-norm", "post-norm"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    def test_matches_the_unmerged_layer(self, monkeypatch, norm_first, taped):
+        params = layer_params(norm_first)
+        x = np.random.default_rng(43).standard_normal((7, 16))[self.REPEATS]
+        out, grads = layer_run(params, x, taped)
+        ref_out, ref_grads = self.unmerged(monkeypatch, params, x, taped)
+        assert_rel_close(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            # bk shifts every score of a query equally: its exact gradient is
+            # zero, so both runs hold rounding noise at the scale of wk's
+            scale = np.abs(ref_grads["enc.attn.wk"]).max() if name == "enc.attn.bk" else None
+            try:
+                assert_rel_close(grads[name], ref, scale=scale)
+            except AssertionError as exc:
+                raise AssertionError(f"d{name}: {exc}") from exc
+
+    @pytest.mark.parametrize("norm_first", [True, False], ids=["pre-norm", "post-norm"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    def test_distinct_rows_run_the_plain_block(self, monkeypatch, norm_first, taped):
+        params = layer_params(norm_first)
+        x = np.random.default_rng(44).standard_normal((9, 16))
+        out, grads = layer_run(params, x, taped)
+        ref_out, ref_grads = self.unmerged(monkeypatch, params, x, taped)
+        assert np.array_equal(out, ref_out)
+        for name, ref in ref_grads.items():
+            assert np.array_equal(grads[name], ref), f"d{name}"
+
+    def test_groups_in_order_of_first_appearance(self):
+        x = np.random.default_rng(45).standard_normal((7, 3))[self.REPEATS]
+        first, inverse, counts = nn._row_groups(x)
+        assert first.tolist() == [0, 1, 3, 4, 7, 8, 9]
+        assert counts.tolist() == [2, 2, 2, 3, 1, 1, 1]
+        assert np.array_equal(x[first][inverse], x)
+
+    def test_signed_zeros_are_not_merged(self):
+        assert nn._row_groups(np.array([[0.0, 1.0], [-0.0, 1.0]])) is None
+        _, inverse, counts = nn._row_groups(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+        assert inverse.tolist() == [0, 1, 0] and counts.tolist() == [2, 1]
+
+    def test_only_2d_tables_are_grouped(self):
+        assert nn._row_groups(np.zeros((2, 3, 4))) is None
+
+    def test_merge_rows_gives_each_copy_its_share(self):
+        a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 2.0]]), requires_grad=True)
+        first, inverse, counts = nn._row_groups(a.data)
+        g_out = np.array([[3.0, 6.0], [1.0, -1.0]])
+        with Tape() as tape:
+            out = nn.merge_rows(a, first, inverse, counts)
+            tape.backward(weighted_sum(out, g_out))
+        assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(a.grad, [[1.0, 2.0], [1.0, -1.0], [1.0, 2.0], [1.0, 2.0]])
 
 
 class TestBce:
@@ -731,6 +872,8 @@ class TestElementwiseOps:
             "relu": (lambda: nn.mean_all(nn.relu(a2)), [a2]),
             "attention": (lambda: nn.mean_all(nn.attention(q3, k4, v4)), [q3, k4, v4]),
             "attention_blocks": (lambda: nn.mean_all(nn.attention(q7, k4, v4)), [q7, k4, v4]),
+            "attention_bias": (lambda: nn.mean_all(nn.attention(q7, k4, v4, np.log([1.0, 3.0, 2.0, 1.0]))),
+                               [q7, k4, v4]),
             "mean_axis": (lambda: nn.mean_all(nn.relu(nn.mean_axis(a3, 1))), [a3]),
             "max_axis": (lambda: nn.mean_all(nn.max_axis(a3, 1)), [a3]),
         }
